@@ -239,6 +239,8 @@ def verify_record(record: QueryRecord, commitments: CommitmentBundle,
     if backend != "transparent":
         raise ValueError("only the transparent backend is implemented")
     blob: AttestationBlob = record.attestation
+    if blob is None:  # e.g. a ledger reloaded from disk keeps no witnesses
+        return {claim: "record carries no attestation witness" for claim in CLAIMS}
     result = {}
 
     # A1: embedder consistency
@@ -319,7 +321,7 @@ def run_audit(ledger: MerkleLedger, commitments: CommitmentBundle, policy,
     # step 1: commitment integrity
     if ledger_mod.policy_commitment(policy) != commitments.c_policy:
         return _fail(verdict, "commitment_integrity", "policy digest mismatch")
-    if ledger.records and commitments.published_at >= ledger.records[0].timestamp:
+    if len(ledger) and commitments.published_at >= ledger.record(0).timestamp:
         return _fail(verdict, "commitment_integrity",
                      "commitments published after window opened")
     verdict.checks["commitment_integrity"] = "ok"
@@ -332,7 +334,7 @@ def run_audit(ledger: MerkleLedger, commitments: CommitmentBundle, policy,
         rng = np.random.default_rng(seed)
         positions = sorted(rng.choice(n, size=plan.s, replace=False).tolist())
     for pos in positions:
-        claims = verify_record(ledger.records[pos], commitments, policy, K=K)
+        claims = verify_record(ledger.record(pos), commitments, policy, K=K)
         for claim, status in claims.items():
             if status != "ok" and not status.startswith("not evaluated"):
                 return _fail(verdict, claim, f"record {pos}: {status}")

@@ -1,11 +1,24 @@
 """Phase A commitments and the append-only query ledger.
 
-Merkle tree in the transparency-log style: leaves are domain-separated
-with 0x00 and interior nodes with 0x01, the root of an n-leaf tree splits
-at the largest power of two strictly less than n, and both inclusion
-(audit path) and consistency (append-only extension) proofs are
-supported. Receipts are Ed25519-signed over the canonical serialization
-of their fields.
+Merkle tree in the transparency-log style (RFC 6962 / RFC 9162 section
+2.1): leaves are domain-separated with 0x00 and interior nodes with 0x01,
+the root of an n-leaf tree splits at the largest power of two strictly
+less than n, and both inclusion (audit path) and consistency (append-only
+extension) proofs are supported. Receipts are Ed25519-signed over the
+canonical serialization of their fields.
+
+``MerkleLedger`` stores the hash of every complete, aligned power-of-two
+subtree. On an n-leaf ledger the operations cost, in SHA-256 calls:
+
+  append             the record digest and its leaf hash, the subtrees it
+                     completes (amortised one) and popcount(n) - 1 to fold
+                     the new root: at most floor(log2 n) + 2 in all
+  prove_inclusion,   one node per level, each read from the store except at
+  prove_extension    most one on the right edge, which is folded from stored
+                     subtrees: O(log n); the sizes of the two roots of an
+                     extension are a dict lookup
+  verify_receipt     one extension and one inclusion proof, each made and
+                     checked: O(log n), plus the signature check
 """
 
 from __future__ import annotations
@@ -59,43 +72,24 @@ def _node_hash(left: bytes, right: bytes) -> bytes:
 
 def _split(n: int) -> int:
     """Largest power of two strictly less than n (n >= 2)."""
-    k = 1
-    while k * 2 < n:
-        k *= 2
-    return k
+    return 1 << ((n - 1).bit_length() - 1)
 
 
 def merkle_root(leaves: list) -> bytes:
-    """Root over already-hashed leaves; empty tree commits to a fixed marker."""
+    """Root over already-hashed leaves; empty tree commits to a fixed marker.
+
+    Pairs nodes level by level; an odd trailing node moves up unchanged,
+    which builds the same tree as splitting at the largest power of two.
+    """
     if not leaves:
         return sha256(_EMPTY_MARKER)
-    if len(leaves) == 1:
-        return leaves[0]
-    k = _split(len(leaves))
-    return _node_hash(merkle_root(leaves[:k]), merkle_root(leaves[k:]))
-
-
-def _audit_path(leaves: list, m: int) -> list:
-    """Siblings from leaf m to the root as (hash, side) with side 'L'/'R'
-    telling the verifier where the sibling sits."""
-    if len(leaves) <= 1:
-        return []
-    k = _split(len(leaves))
-    if m < k:
-        return _audit_path(leaves[:k], m) + [(merkle_root(leaves[k:]), "R")]
-    return _audit_path(leaves[k:], m - k) + [(merkle_root(leaves[:k]), "L")]
-
-
-def _consistency(leaves: list, m: int, start: bool = True) -> list:
-    """Transparency-log consistency proof between the m-leaf prefix and
-    the full tree."""
-    n = len(leaves)
-    if m == n:
-        return [] if start else [merkle_root(leaves)]
-    k = _split(n)
-    if m <= k:
-        return _consistency(leaves[:k], m, start) + [merkle_root(leaves[k:])]
-    return _consistency(leaves[k:], m - k, False) + [merkle_root(leaves[:k])]
+    level = list(leaves)
+    while len(level) > 1:
+        paired = [_node_hash(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    return level[0]
 
 
 @dataclass(frozen=True)
@@ -196,20 +190,30 @@ class MerkleLedger:
     """Append-only ledger of query records with published roots.
 
     Single writer; readers may take proofs against any published root
-    snapshot (tree state is derived purely from the leaf list).
+    snapshot. ``_levels[h][i]`` is the hash of the complete subtree over
+    leaves [i * 2**h, (i + 1) * 2**h), level 0 holding the leaves; a
+    subtree is stored once its last leaf is appended and never changes,
+    so every prefix snapshot reads the same stored hashes. The root
+    journal lists the root at every size, and ``_sizes`` maps each root
+    back to the first size that had it. Costs are in the module docstring.
     """
 
     def __init__(self):
         self._records: list[QueryRecord] = []
-        self._leaves: list[bytes] = []
+        self._levels: list[list[bytes]] = [[]]
         self._roots: list[bytes] = [merkle_root([])]  # root journal, index = size
+        self._sizes: dict[bytes, int] = {self._roots[0]: 0}
 
     def __len__(self) -> int:
-        return len(self._leaves)
+        return len(self._records)
 
     @property
     def records(self) -> tuple:
+        """A copy of all records; ``record`` reads one without copying."""
         return tuple(self._records)
+
+    def record(self, position: int) -> QueryRecord:
+        return self._records[position]
 
     @property
     def root(self) -> bytes:
@@ -219,23 +223,65 @@ class MerkleLedger:
         return self._roots[size]
 
     def leaf(self, position: int) -> bytes:
-        return self._leaves[position]
+        return self._levels[0][position]
 
     def append(self, record: QueryRecord) -> tuple[bytes, int]:
         """Append a record; returns (new_root, leaf_position)."""
         if self._records and record.timestamp <= self._records[-1].timestamp:
             raise ValueError("timestamp regression")
+        node = _leaf_hash(record_digest(record))
         self._records.append(record)
-        self._leaves.append(_leaf_hash(record_digest(record)))
-        self._roots.append(merkle_root(self._leaves))
-        return self.root, len(self._leaves) - 1
+        levels = self._levels
+        levels[0].append(node)
+        h = 0
+        while len(levels[h]) % 2 == 0:  # a left sibling is waiting: merge up
+            node = _node_hash(levels[h][-2], node)
+            h += 1
+            if h == len(levels):
+                levels.append([])
+            levels[h].append(node)
+        n = len(self._records)
+        root = self._subtree(0, n)
+        self._sizes.setdefault(root, n)
+        self._roots.append(root)
+        return root, n - 1
+
+    def _subtree(self, lo: int, hi: int) -> bytes:
+        """Hash of the tree over leaves [lo, hi), lo < hi <= len(self).
+
+        lo must be a multiple of the largest power of two <= hi - lo, which
+        holds for every node of the tree: the range then splits, largest
+        first, into stored subtrees, folded right to left.
+        """
+        nodes = []
+        while lo < hi:
+            h = (hi - lo).bit_length() - 1
+            nodes.append(self._levels[h][lo >> h])
+            lo += 1 << h
+        node = nodes.pop()
+        while nodes:
+            node = _node_hash(nodes.pop(), node)
+        return node
 
 
 def prove_inclusion(ledger: MerkleLedger, position: int, size: int | None = None) -> MerkleProof:
+    """Audit path of a leaf in the size-leaf prefix: siblings from the leaf
+    to the root as (hash, side) with side 'L'/'R' telling the verifier
+    where the sibling sits."""
     n = len(ledger) if size is None else size
-    if not 0 <= position < n:
+    if not 0 <= position < n <= len(ledger):
         raise IndexError("position out of range")
-    return MerkleProof(position, tuple(_audit_path(ledger._leaves[:n], position)))
+    path = []
+    lo, hi = 0, n
+    while hi - lo > 1:
+        mid = lo + _split(hi - lo)
+        if position < mid:
+            path.append((ledger._subtree(mid, hi), "R"))
+            hi = mid
+        else:
+            path.append((ledger._subtree(lo, mid), "L"))
+            lo = mid
+    return MerkleProof(position, tuple(reversed(path)))
 
 
 def verify_inclusion(root: bytes, leaf_digest: bytes, proof: MerkleProof) -> bool:
@@ -246,20 +292,36 @@ def verify_inclusion(root: bytes, leaf_digest: bytes, proof: MerkleProof) -> boo
     return h == root
 
 
+def _consistency(ledger: MerkleLedger, m: int, n: int) -> list:
+    """Transparency-log consistency proof between the m-leaf and the n-leaf
+    prefix, 0 < m < n: descend from the n-leaf root towards leaf m,
+    collecting the sibling left behind at each split, inner hashes first."""
+    hashes = []
+    lo, hi, start = 0, n, True
+    while m != hi:
+        mid = lo + _split(hi - lo)
+        if m <= mid:
+            hashes.append(ledger._subtree(mid, hi))
+            hi = mid
+        else:
+            hashes.append(ledger._subtree(lo, mid))
+            lo, start = mid, False
+    if not start:  # the m-prefix is not a subtree of the n-tree's left edge
+        hashes.append(ledger._subtree(lo, hi))
+    hashes.reverse()
+    return hashes
+
+
 def prove_extension(old_root: bytes, new_root: bytes, ledger: MerkleLedger) -> ConsistencyProof:
     """Consistency proof that old_root is a prefix snapshot of new_root."""
-    old_size = next(
-        (s for s in range(len(ledger) + 1) if ledger.root_at(s) == old_root), None
-    )
-    new_size = next(
-        (s for s in range(len(ledger) + 1) if ledger.root_at(s) == new_root), None
-    )
+    old_size = ledger._sizes.get(old_root)
+    new_size = ledger._sizes.get(new_root)
     if old_size is None or new_size is None or old_size > new_size:
         raise ValueError("roots do not correspond to prefix snapshots")
     if old_size == 0 or old_size == new_size:
         hashes = ()
     else:
-        hashes = tuple(_consistency(ledger._leaves[:new_size], old_size))
+        hashes = tuple(_consistency(ledger, old_size, new_size))
     return ConsistencyProof(old_size, new_size, hashes)
 
 
@@ -366,7 +428,7 @@ def verify_receipt(receipt: Receipt, public_key: Ed25519PublicKey,
     pos = receipt.leaf_position
     if pos >= len(ledger):
         return ReceiptCheck("non_inclusion_witness", "position beyond ledger")
-    rec = ledger.records[pos]
+    rec = ledger.record(pos)
     if rec.query_digest != receipt.query_digest or rec.topk_digest != receipt.topk_digest:
         return ReceiptCheck("forgery_witness", "ledger record digest mismatch")
     # the root at issue must be the (pos+1)-prefix snapshot, and that
@@ -404,6 +466,9 @@ def _read_field(buf: bytes, off: int) -> tuple[bytes, int]:
 
 
 def load_ledger(path) -> MerkleLedger:
+    """Rebuild a ledger from ``save_ledger`` output. Raises ValueError
+    unless the root journal exists, holds one root per size 0..n, and
+    matches the roots recomputed from the records."""
     ledger = MerkleLedger()
     with open(path, "rb") as fh:
         data = fh.read()
@@ -424,10 +489,14 @@ def load_ledger(path) -> MerkleLedger:
             timestamp=int.from_bytes(ts, "big"),
         ))
     roots_path = str(path) + ".roots"
-    if os.path.exists(roots_path):
-        with open(roots_path, "rb") as fh:
-            journal = fh.read()
-        for i in range(len(ledger) + 1):
-            if journal[32 * i:32 * (i + 1)] != ledger.root_at(i):
-                raise ValueError("root journal does not match records")
+    if not os.path.exists(roots_path):
+        raise ValueError(f"root journal {roots_path} is missing")
+    with open(roots_path, "rb") as fh:
+        journal = fh.read()
+    n = len(ledger)
+    if len(journal) != 32 * (n + 1):
+        raise ValueError(f"root journal holds {len(journal)} bytes; {n} records "
+                         f"need 32*({n}+1) = {32 * (n + 1)}")
+    if journal != b"".join(ledger._roots):
+        raise ValueError("root journal does not match records")
     return ledger

@@ -17,6 +17,7 @@ from collusion_audit.audit import (
 from collusion_audit.encoding import sha256
 from collusion_audit.estimator import EstimatorParams
 from collusion_audit.harness import TenantIndex, random_unit_vectors
+from collusion_audit.ledger import load_ledger, save_ledger
 
 EST_PARAMS = EstimatorParams(theta=0.80)
 
@@ -126,6 +127,23 @@ class TestHonestAudit:
                             receipts, EST_PARAMS, plan, seed=4)
         assert verdict.status == "PASS"
         assert verdict.sampled == {"s": 5, "beta": 0.9, "eta": 0.05}
+
+    def test_reloaded_ledger_fails_with_witness(self, tmp_path):
+        # persistence keeps records and roots but not the attestation
+        # witnesses, so the claims cannot be re-executed
+        service = make_service()
+        receipts = serve_window(service)
+        path = tmp_path / "ledger.bin"
+        save_ledger(service.ledger, path)
+        reloaded = load_ledger(path)
+        assert reloaded.root == service.ledger.root
+        verdict = run_audit(reloaded, service.commitments, service.policy,
+                            receipts, EST_PARAMS, FULL)
+        assert verdict.status == "FAIL"
+        assert verdict.witnesses == [{
+            "check": "embedder_consistency",
+            "witness": "record 0: record carries no attestation witness",
+        }]
 
 
 class TestAdversarialProvider:

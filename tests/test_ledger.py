@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,60 @@ def build(n):
     for i in range(n):
         led.append(rec(i))
     return led
+
+
+# Reference oracle: the recursive RFC 6962 construction over leaf lists
+# that the ledger used before it stored subtree hashes. Roots, the root
+# journal and proofs must match it byte for byte.
+
+def _ref_split(n):
+    k = 1
+    while k * 2 < n:
+        k *= 2
+    return k
+
+
+def _ref_node(left, right):
+    return sha256(b"\x01" + left + right)
+
+
+def ref_root(leaves):
+    if not leaves:
+        return sha256(b"collusion-audit/empty-ledger")
+    if len(leaves) == 1:
+        return leaves[0]
+    k = _ref_split(len(leaves))
+    return _ref_node(ref_root(leaves[:k]), ref_root(leaves[k:]))
+
+
+def ref_audit_path(leaves, m):
+    if len(leaves) <= 1:
+        return []
+    k = _ref_split(len(leaves))
+    if m < k:
+        return ref_audit_path(leaves[:k], m) + [(ref_root(leaves[k:]), "R")]
+    return ref_audit_path(leaves[k:], m - k) + [(ref_root(leaves[:k]), "L")]
+
+
+def ref_consistency(leaves, m, start=True):
+    n = len(leaves)
+    if m == n:
+        return [] if start else [ref_root(leaves)]
+    k = _ref_split(n)
+    if m <= k:
+        return ref_consistency(leaves[:k], m, start) + [ref_root(leaves[k:])]
+    return ref_consistency(leaves[k:], m - k, False) + [ref_root(leaves[:k])]
+
+
+def assert_inclusion_matches(led, leaves, pos, size):
+    proof = lg.prove_inclusion(led, pos, size)
+    assert proof.path == tuple(ref_audit_path(leaves[:size], pos)), (pos, size)
+
+
+def assert_extension_matches(led, leaves, i, j):
+    proof = lg.prove_extension(led.root_at(i), led.root_at(j), led)
+    expected = () if i in (0, j) else tuple(ref_consistency(leaves[:j], i))
+    assert (proof.old_size, proof.new_size, proof.hashes) == (i, j, expected), (i, j)
 
 
 class TestMerkleTree:
@@ -75,6 +131,8 @@ class TestMerkleTree:
         led = build(4)
         with pytest.raises(IndexError):
             lg.prove_inclusion(led, 4)
+        with pytest.raises(IndexError):  # a size beyond the ledger
+            lg.prove_inclusion(led, 0, 5)
 
 
 class TestExtension:
@@ -120,6 +178,117 @@ class TestExtension:
         led = build(3)
         with pytest.raises(ValueError):
             led.append(lg.QueryRecord("a", "t", sha256(b"x"), sha256(b"y"), 1))
+
+
+class TestReferenceOracle:
+    def test_every_position_and_prefix_pair_small(self):
+        for n in range(71):
+            led = build(n)
+            leaves = [led.leaf(i) for i in range(n)]
+            assert [led.root_at(s) for s in range(n + 1)] == [
+                ref_root(leaves[:s]) for s in range(n + 1)]
+            for pos in range(n):
+                assert_inclusion_matches(led, leaves, pos, n)
+            for i in range(n + 1):
+                assert_extension_matches(led, leaves, i, n)
+        # every prefix snapshot of the 70-leaf ledger, which has stored
+        # subtrees beyond each prefix
+        for j in range(n + 1):
+            for i in range(j + 1):
+                assert_extension_matches(led, leaves, i, j)
+            for pos in range(j):
+                assert_inclusion_matches(led, leaves, pos, j)
+
+    @pytest.mark.parametrize("n", [1000, 4097])
+    def test_random_positions_and_pairs_large(self, n):
+        rng = np.random.default_rng(n)
+        led = build(n)
+        leaves = [led.leaf(i) for i in range(n)]
+        for _ in range(25):
+            j = int(rng.integers(1, n + 1))
+            i = int(rng.integers(0, j + 1))
+            assert led.root_at(j) == ref_root(leaves[:j])
+            assert_extension_matches(led, leaves, i, j)
+            assert_inclusion_matches(led, leaves, int(rng.integers(0, j)), j)
+            assert_inclusion_matches(led, leaves, int(rng.integers(0, n)), n)
+
+    def test_merkle_root_matches_reference(self):
+        leaves = [sha256(b"leaf%d" % i) for i in range(2001)]
+        for n in list(range(301)) + [2000, 2001]:
+            assert lg.merkle_root(leaves[:n]) == ref_root(leaves[:n]), n
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=300), st.data())
+def test_proofs_match_reference(n, data):
+    led = build(n)
+    leaves = [led.leaf(i) for i in range(n)]
+    j = data.draw(st.integers(min_value=1, max_value=n))
+    i = data.draw(st.integers(min_value=0, max_value=j))
+    pos = data.draw(st.integers(min_value=0, max_value=j - 1))
+    assert led.root_at(j) == ref_root(leaves[:j])
+    assert_extension_matches(led, leaves, i, j)
+    assert_inclusion_matches(led, leaves, pos, j)
+
+
+class _CountingJournal(list):
+    """Root journal that counts the entries read from it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        self.reads += len(self)
+        return super().__iter__()
+
+    def __contains__(self, value):
+        self.reads += len(self)
+        return super().__contains__(value)
+
+    def index(self, *args):
+        self.reads += len(self)
+        return super().index(*args)
+
+
+def test_hash_counts_are_logarithmic(monkeypatch):
+    n = 2 ** 12 + 1
+    log_n = math.ceil(math.log2(n))
+    calls = [0]
+    real_sha256 = lg.sha256
+
+    def counting_sha256(data):
+        calls[0] += 1
+        return real_sha256(data)
+
+    def hashes(fn, *args):
+        before = calls[0]
+        result = fn(*args)
+        return result, calls[0] - before
+
+    monkeypatch.setattr(lg, "sha256", counting_sha256)
+    sk, pk = lg.generate_test_keypair()
+    led = lg.MerkleLedger()
+    receipts = []
+    for i in range(n):
+        r = rec(i)
+        (root, pos), cost = hashes(led.append, r)
+        assert cost <= log_n + 2, (i, cost)
+        if pos in (0, 1, 2 ** 11 - 1, 2 ** 11, 2 ** 12 - 1, 2 ** 12):
+            receipts.append(lg.issue_receipt(r, pos, root, sk))
+    for rc in receipts:
+        check, cost = hashes(lg.verify_receipt, rc, pk, led)
+        assert check.consistent
+        assert cost <= 2 * log_n ** 2, (rc.leaf_position, cost)
+    pairs = [(led.root_at(i), led.root_at(j))
+             for i, j in ((0, n), (1, n), (2 ** 11 + 1, n), (n, n), (7, 2 ** 12))]
+    led._roots = _CountingJournal(led._roots)
+    for old_root, new_root in pairs:
+        _, cost = hashes(lg.prove_extension, old_root, new_root, led)
+        assert cost <= log_n
+    assert led._roots.reads <= 2 * len(pairs)
 
 
 class TestBinding:
@@ -235,6 +404,22 @@ class TestPersistence:
         journal = (tmp_path / "ledger.bin.roots").read_bytes()
         (tmp_path / "ledger.bin.roots").write_bytes(journal[:40] + b"\x00" + journal[41:])
         with pytest.raises(ValueError):
+            lg.load_ledger(path)
+
+    def test_missing_journal_rejected(self, tmp_path):
+        path = tmp_path / "ledger.bin"
+        lg.save_ledger(build(5), path)
+        (tmp_path / "ledger.bin.roots").unlink()
+        with pytest.raises(ValueError, match="root journal .* is missing"):
+            lg.load_ledger(path)
+
+    def test_dropped_record_rejected(self, tmp_path):
+        # the record file loses its last record; the journal still has 6 roots
+        path = tmp_path / "ledger.bin"
+        lg.save_ledger(build(5), path)
+        lg.save_ledger(build(4), tmp_path / "short.bin")
+        path.write_bytes((tmp_path / "short.bin").read_bytes())
+        with pytest.raises(ValueError, match=r"holds 192 bytes; 4 records need"):
             lg.load_ledger(path)
 
 
