@@ -22,7 +22,6 @@ from .encoding import hash_fields, sha256
 from .harness import (
     NoiseSeedRecord,
     TenantIndex,
-    derive_noise_block,
     embedding_digest,
     topk_retrieve,
 )
@@ -77,7 +76,12 @@ def topk_output_digest(positions, doc_ids) -> bytes:
 
 @dataclass(frozen=True)
 class AttestationBlob:
-    """Witness for the four per-query claims (verifier-only surface)."""
+    """Witness for the four per-query claims (verifier-only surface).
+
+    The noise itself is not part of the witness: the verifier checks the
+    seed, sigma and policy against the commitments and then re-derives the
+    noise once, inside the noise-then-select re-execution.
+    """
 
     claims: tuple = CLAIMS
     backend: str = "transparent"
@@ -89,7 +93,6 @@ class AttestationBlob:
     query_vector: np.ndarray | None = None
     opened_embeddings: np.ndarray | None = None  # full index, in order
     opened_tenant_id: str = ""
-    claimed_noise: np.ndarray | None = None
 
     def __post_init__(self):
         if set(CLAIMS) - set(self.claims):
@@ -203,7 +206,6 @@ def attest_query(service: AuditService, query: np.ndarray, account_id: str,
     if service.misbehavior == "wrong_embedder_digest":
         emb_digest = sha256(b"rogue embedder")
 
-    noise = derive_noise_block(service.window_seed, core, len(index), sigma)
     blob = AttestationBlob(
         embedder_digest=emb_digest,
         window_seed=service.window_seed,
@@ -212,7 +214,6 @@ def attest_query(service: AuditService, query: np.ndarray, account_id: str,
         query_vector=np.asarray(query, dtype=np.float64),
         opened_embeddings=opened,
         opened_tenant_id=opened_tenant,
-        claimed_noise=noise,
     )
     record = QueryRecord(
         account_id=account_id, tenant_id=tenant_id, query_digest=q_digest,
@@ -230,11 +231,37 @@ def attest_query(service: AuditService, query: np.ndarray, account_id: str,
     return record, receipt
 
 
+def _real_array(value, ndim: int) -> bool:
+    return (isinstance(value, np.ndarray) and value.ndim == ndim
+            and value.dtype.kind in "iuf")
+
+
+def _index_root(opened: np.ndarray, memo: dict) -> bytes:
+    """Vector-commitment root over opened embeddings, built once per
+    distinct (shape, buffer): the same bytes at another shape are other
+    leaves, so the shape is part of the key."""
+    key = (opened.shape, sha256(np.asarray(opened, dtype=">f8").tobytes()))
+    root = memo.get(key)
+    if root is None:
+        root = memo[key] = ledger_mod.merkle_root(
+            [ledger_mod._leaf_hash(embedding_digest(v)) for v in opened]
+        )
+    return root
+
+
 def verify_record(record: QueryRecord, commitments: CommitmentBundle,
-                  policy, backend: str = "transparent", K: int = 5) -> dict:
+                  policy, backend: str = "transparent", K: int = 5, *,
+                  root_memo: dict | None = None) -> dict:
     """Re-execute one record's four claims against the commitments.
 
-    Returns claim -> "ok" or a short witness string.
+    The seed, sigma and policy are checked against their commitments; the
+    noise is then derived once, inside the noise-then-select re-execution.
+    ``root_memo`` maps (shape, digest of the opened buffer) to the index
+    root, so an audit that passes one dict to every call builds each
+    opened index's root once; without it the call builds its own.
+
+    Returns claim -> "ok" or a short witness string; a malformed witness
+    yields a witness, never an exception.
     """
     if backend != "transparent":
         raise ValueError("only the transparent backend is implemented")
@@ -249,47 +276,53 @@ def verify_record(record: QueryRecord, commitments: CommitmentBundle,
         else "embedder digest differs from c_emb"
     )
 
-    # A2: noise derived from the committed seed at the policy sigma
-    core = record_core_digest(record.account_id, record.tenant_id,
-                              record.query_digest, record.timestamp)
-    if sha256(blob.window_seed) != commitments.c_seed:
+    # A2: noise derives from the committed seed at the committed sigma
+    if (not isinstance(blob.window_seed, bytes)
+            or sha256(blob.window_seed) != commitments.c_seed):
         result["noise_derivation"] = "witness seed inconsistent with c_seed"
     elif not math.isclose(blob.sigma, policy.sigma, rel_tol=1e-12):
         result["noise_derivation"] = "witness sigma differs from committed policy"
     elif ledger_mod.policy_commitment(policy) != commitments.c_policy:
         result["noise_derivation"] = "policy does not match c_policy"
     else:
-        expected_noise = derive_noise_block(
-            blob.window_seed, core, len(blob.claimed_noise), policy.sigma
-        )
-        result["noise_derivation"] = (
-            "ok" if blob.claimed_noise is not None
-            and np.array_equal(expected_noise, blob.claimed_noise)
-            else "claimed noise does not re-derive from committed seed"
-        )
+        result["noise_derivation"] = "ok"
 
     # A4: openings all come from this tenant's committed index
-    leaf_digests = [embedding_digest(v) for v in blob.opened_embeddings]
-    root = ledger_mod.merkle_root([ledger_mod._leaf_hash(d) for d in leaf_digests])
+    opened = blob.opened_embeddings
     committed = commitments.c_idx.get(record.tenant_id)
-    result["tenant_containment"] = (
-        "ok" if committed is not None and root == committed
-        and blob.opened_tenant_id == record.tenant_id
-        else "opened embeddings do not match the tenant's committed root"
-    )
+    if not _real_array(opened, 2):
+        result["tenant_containment"] = "opened embeddings are not an (N, d) array"
+    elif (committed is None or blob.opened_tenant_id != record.tenant_id
+          or _index_root(opened, {} if root_memo is None else root_memo) != committed):
+        result["tenant_containment"] = (
+            "opened embeddings do not match the tenant's committed root"
+        )
+    else:
+        result["tenant_containment"] = "ok"
 
     # A3: noise-then-select re-execution reproduces the published top-K
-    if result["noise_derivation"] == "ok" and result["tenant_containment"] == "ok":
-        opened_index = TenantIndex(record.tenant_id, blob.opened_embeddings)
+    query = blob.query_vector
+    if result["noise_derivation"] != "ok" or result["tenant_containment"] != "ok":
+        result["noise_then_select"] = "not evaluated: prerequisite claim failed"
+    elif not _real_array(query, 1) or len(query) != opened.shape[1]:
+        result["noise_then_select"] = (
+            "witness query vector is missing or not of the index dimension"
+        )
+    elif K > len(opened):
+        result["noise_then_select"] = (
+            f"K={K} exceeds the opened index of {len(opened)} documents"
+        )
+    else:
+        core = record_core_digest(record.account_id, record.tenant_id,
+                                  record.query_digest, record.timestamp)
+        opened_index = TenantIndex(record.tenant_id, opened)
         noise_rec = NoiseSeedRecord(blob.window_seed, core, policy.sigma)
-        redo = topk_retrieve(opened_index, blob.query_vector, K, policy.sigma, noise_rec)
+        redo = topk_retrieve(opened_index, query, K, policy.sigma, noise_rec)
         digest = topk_output_digest(redo.topk_positions, redo.topk_doc_ids)
         result["noise_then_select"] = (
             "ok" if digest == record.topk_digest
             else "re-executed noise-then-select top-K differs from ledger digest"
         )
-    else:
-        result["noise_then_select"] = "not evaluated: prerequisite claim failed"
     return result
 
 
@@ -333,8 +366,10 @@ def run_audit(ledger: MerkleLedger, commitments: CommitmentBundle, policy,
     else:
         rng = np.random.default_rng(seed)
         positions = sorted(rng.choice(n, size=plan.s, replace=False).tolist())
+    index_roots: dict = {}  # one root build per distinct opened index
     for pos in positions:
-        claims = verify_record(ledger.record(pos), commitments, policy, K=K)
+        claims = verify_record(ledger.record(pos), commitments, policy, K=K,
+                               root_memo=index_roots)
         for claim, status in claims.items():
             if status != "ok" and not status.startswith("not evaluated"):
                 return _fail(verdict, claim, f"record {pos}: {status}")
@@ -358,12 +393,21 @@ def run_audit(ledger: MerkleLedger, commitments: CommitmentBundle, policy,
                          f"{check.status}: {check.detail}")
     verdict.checks["receipt_consistency"] = "ok"
 
-    # step 4: coalition estimate and policy cap
+    # step 4: coalition estimate and policy cap, over the query vectors
+    # the receipts bind: every record's witness vector must hash to its
+    # ledger query digest
     queries = []
-    for rec in ledger.records:
-        blob: AttestationBlob = rec.attestation
-        if blob is not None and blob.query_vector is not None:
-            queries.append((rec.account_id, blob.query_vector, rec.timestamp))
+    for pos in range(n):
+        rec = ledger.record(pos)
+        query = getattr(rec.attestation, "query_vector", None)
+        if not _real_array(query, 1):
+            return _fail(verdict, "embedder_consistency",
+                         f"record {pos}: no query vector witness")
+        if query_vector_digest(query) != rec.query_digest:
+            return _fail(verdict, "embedder_consistency",
+                         f"record {pos}: witness query vector does not match "
+                         "the ledger query digest")
+        queries.append((rec.account_id, query, rec.timestamp))
     est = est_mod.estimate(queries, estimator_params)
     cert = est_mod.certify(queries, estimator_params, est, ledger.root)
     if not est_mod.verify_certificate(ledger.root, estimator_params, est, queries):

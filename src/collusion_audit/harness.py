@@ -174,32 +174,50 @@ class RetrievalOutput:
     instrumented: bool = False
 
 
-def derive_noise(
-    window_seed: bytes, record_digest: bytes, coordinate: int, sigma: float
-) -> float:
-    """One deterministic N(0, sigma^2) draw for a score coordinate.
+# coordinate || counter on the way in, the two leading 64-bit words of the
+# digest on the way out
+_U64_PAIR = struct.Struct(">QQ")
+
+
+def _gaussian_draws(
+    window_seed: bytes, record_digest: bytes, coordinates, sigma: float
+) -> list:
+    """N(0, sigma^2) draws at the given score coordinates.
 
     H(seed || record_digest || coordinate_8B_BE || counter) is expanded in
     counter mode into 64-bit uniforms fed through Box-Muller; bit-exact
-    wherever SHA-256 and IEEE-754 agree.
+    wherever SHA-256 and IEEE-754 agree. The shared prefix is hashed once
+    and its SHA-256 state copied per coordinate.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    digest = hashlib.sha256(
-        window_seed + record_digest + coordinate.to_bytes(8, "big") + (0).to_bytes(8, "big")
-    ).digest()
-    u1 = (int.from_bytes(digest[:8], "big") + 0.5) / 2.0**64
-    u2 = (int.from_bytes(digest[8:16], "big") + 0.5) / 2.0**64
-    return sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    prefix = hashlib.sha256(window_seed + record_digest)
+    pack, unpack = _U64_PAIR.pack, _U64_PAIR.unpack_from
+    log, cos, sqrt, two_pi = math.log, math.cos, math.sqrt, 2.0 * math.pi
+    draws = []
+    for coordinate in coordinates:
+        h = prefix.copy()
+        h.update(pack(coordinate, 0))
+        w1, w2 = unpack(h.digest())
+        u1 = (w1 + 0.5) / 2.0**64
+        u2 = (w2 + 0.5) / 2.0**64
+        draws.append(sigma * sqrt(-2.0 * log(u1)) * cos(two_pi * u2))
+    return draws
+
+
+def derive_noise(
+    window_seed: bytes, record_digest: bytes, coordinate: int, sigma: float
+) -> float:
+    """One deterministic N(0, sigma^2) draw for a score coordinate."""
+    return _gaussian_draws(window_seed, record_digest, (coordinate,), sigma)[0]
 
 
 def derive_noise_block(
     window_seed: bytes, record_digest: bytes, n_coords: int, sigma: float
 ) -> np.ndarray:
-    """Noise for coordinates 0..n_coords-1 (digest-chained subseeds)."""
-    return np.array(
-        [derive_noise(window_seed, record_digest, i, sigma) for i in range(n_coords)]
-    )
+    """Noise for coordinates 0..n_coords-1, equal element-wise to
+    :func:`derive_noise` at each coordinate."""
+    return np.array(_gaussian_draws(window_seed, record_digest, range(n_coords), sigma))
 
 
 def scalar_mechanism(world: WorldPair, b: int, noise: NoiseSeedRecord) -> float:

@@ -420,12 +420,19 @@ def verify_receipt(receipt: Receipt, public_key: Ed25519PublicKey,
                    ledger: MerkleLedger) -> ReceiptCheck:
     """Check signature, ledger presence, digest equality, and that the
     root at issue extends to the current root. Each failure mode is a
-    named witness class, never a bare False."""
+    named witness class, never a bare False or an exception."""
+    pos = receipt.leaf_position
+    if not isinstance(receipt.signature, bytes):
+        return ReceiptCheck("forgery_witness", "malformed receipt: signature is not bytes")
+    if type(pos) is not int or not 0 <= pos < 2**64:
+        return ReceiptCheck("forgery_witness",
+                            f"malformed receipt: leaf position {pos!r} is not a uint64")
     try:
         public_key.verify(receipt.signature, receipt.signed_payload())
     except InvalidSignature:
         return ReceiptCheck("forgery_witness", "bad signature")
-    pos = receipt.leaf_position
+    except (TypeError, ValueError) as exc:  # a field with no canonical encoding
+        return ReceiptCheck("forgery_witness", f"malformed receipt: {exc}")
     if pos >= len(ledger):
         return ReceiptCheck("non_inclusion_witness", "position beyond ledger")
     rec = ledger.record(pos)

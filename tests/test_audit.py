@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from collusion_audit.audit import (
 from collusion_audit.encoding import sha256
 from collusion_audit.estimator import EstimatorParams
 from collusion_audit.harness import TenantIndex, random_unit_vectors
-from collusion_audit.ledger import load_ledger, save_ledger
+from collusion_audit.ledger import MerkleLedger, load_ledger, save_ledger
 
 EST_PARAMS = EstimatorParams(theta=0.80)
 
@@ -47,6 +48,16 @@ def serve_window(service, n_accounts=3, queries_per_account=5, d=16, seed=1):
             _, receipt = attest_query(service, q, f"acct{a}", tenant)
             receipts.append((receipt, service.public_key))
     return receipts
+
+
+def rewrite_witnesses(ledger, edit):
+    """The same records and roots, each attestation replaced by
+    ``edit(position, blob)``; the witness is not part of the leaf."""
+    out = MerkleLedger()
+    for pos, rec in enumerate(ledger.records):
+        out.append(dataclasses.replace(rec, attestation=edit(pos, rec.attestation)))
+    assert out.root == ledger.root
+    return out
 
 
 FULL = VerificationPlan(mode="full")
@@ -199,6 +210,146 @@ class TestAdversarialProvider:
                             receipts, EST_PARAMS, FULL)
         assert verdict.status == "FAIL"
         assert verdict.witnesses[0]["check"] == "commitment_integrity"
+
+
+class TestQueryBinding:
+    @pytest.mark.parametrize("seed", [1, 3, 4])
+    def test_swapped_query_vectors_fail_in_sampled_mode(self, seed):
+        # 12 accounts replay one probe against k_max = 10; the provider
+        # hides the coalition from the estimator by swapping every
+        # witness query vector for a random one, and the one sampled
+        # record still re-executes (the noise dominates the scores)
+        service = make_service(policy=make_policy(n=1, k_max=10))
+        probe = random_unit_vectors(np.random.default_rng(9), 1, 16)[0]
+        receipts = []
+        for a in range(12):
+            _, receipt = attest_query(service, probe, f"colluder{a}", "tenant-a")
+            receipts.append((receipt, service.public_key))
+        rng = np.random.default_rng(seed)
+        swapped = rewrite_witnesses(service.ledger, lambda pos, blob: dataclasses.replace(
+            blob, query_vector=random_unit_vectors(rng, 1, 16)[0]))
+        plan = VerificationPlan(mode="sampled", s=1, beta=1.0, eta=0.5)
+        verdict = run_audit(swapped, service.commitments, service.policy,
+                            receipts, EST_PARAMS, plan, seed=seed)
+        assert verdict.status == "FAIL"
+        assert verdict.witnesses[0]["check"] == "embedder_consistency"
+        assert verdict.witnesses[0]["witness"].startswith("record ")
+        assert "query digest" in verdict.witnesses[0]["witness"]
+
+    def test_missing_query_vector_is_not_skipped(self):
+        service = make_service()
+        receipts = serve_window(service)
+        stripped = rewrite_witnesses(service.ledger, lambda pos, blob: (
+            dataclasses.replace(blob, query_vector=None) if pos == 7 else blob))
+        plan = VerificationPlan(mode="sampled", s=1, beta=1.0, eta=0.5)
+        verdict = run_audit(stripped, service.commitments, service.policy,
+                            receipts, EST_PARAMS, plan, seed=0)
+        assert verdict.witnesses == [{
+            "check": "embedder_consistency",
+            "witness": "record 7: no query vector witness",
+        }]
+
+
+class TestMalformedWitness:
+    """A malformed witness yields a named witness, never an exception."""
+
+    @pytest.mark.parametrize("field,value,check,witness", [
+        ("query_vector", None, "noise_then_select",
+         "witness query vector is missing or not of the index dimension"),
+        ("query_vector", np.full(17, 17 ** -0.5), "noise_then_select",
+         "witness query vector is missing or not of the index dimension"),
+        ("opened_embeddings", None, "tenant_containment",
+         "opened embeddings are not an (N, d) array"),
+        ("window_seed", None, "noise_derivation",
+         "witness seed inconsistent with c_seed"),
+    ])
+    def test_run_audit_names_the_claim(self, field, value, check, witness):
+        service = make_service()
+        receipts = serve_window(service)
+        broken = rewrite_witnesses(service.ledger, lambda pos, blob: (
+            dataclasses.replace(blob, **{field: value}) if pos == 4 else blob))
+        claims = verify_record(broken.record(4), service.commitments, service.policy)
+        assert claims[check] == witness
+        verdict = run_audit(broken, service.commitments, service.policy,
+                            receipts, EST_PARAMS, FULL)
+        assert verdict.witnesses == [{"check": check, "witness": f"record 4: {witness}"}]
+
+    def test_k_beyond_the_opened_index(self):
+        service = make_service(docs=12)
+        serve_window(service)
+        claims = verify_record(service.ledger.record(0), service.commitments,
+                               service.policy, K=13)
+        assert claims["noise_then_select"] == "K=13 exceeds the opened index of 12 documents"
+
+    @pytest.mark.parametrize("changes", [
+        {"leaf_position": -1},
+        {"leaf_position": 2 ** 64},
+        {"leaf_position": True},
+        {"signature": "not bytes"},
+        {"account_id": None},
+    ], ids=["negative", "beyond-uint64", "bool", "str-signature", "none-account"])
+    def test_malformed_receipt(self, changes):
+        service = make_service()
+        receipts = serve_window(service)
+        receipt, pk = receipts[3]
+        receipts[3] = (dataclasses.replace(receipt, **changes), pk)
+        verdict = run_audit(service.ledger, service.commitments, service.policy,
+                            receipts, EST_PARAMS, FULL)
+        assert verdict.status == "FAIL"
+        assert verdict.witnesses[0]["check"] == "receipt_consistency"
+        assert verdict.witnesses[0]["witness"].startswith(
+            "forgery_witness: malformed receipt: ")
+
+
+class TestIndexRootMemo:
+    def test_forged_opening_after_honest_records(self):
+        # the memo already holds tenant-a's honest root when the forged
+        # opening is checked; its own buffer must still be rebuilt
+        service = make_service()
+        receipts = serve_window(service)
+        service.misbehavior = "cross_tenant_opening"
+        q = random_unit_vectors(np.random.default_rng(5), 1, 16)[0]
+        _, receipt = attest_query(service, q, "acct0", "tenant-a")
+        receipts.append((receipt, service.public_key))
+        verdict = run_audit(service.ledger, service.commitments, service.policy,
+                            receipts, EST_PARAMS, FULL)
+        assert verdict.witnesses == [{
+            "check": "tenant_containment",
+            "witness": "record 15: opened embeddings do not match the tenant's committed root",
+        }]
+
+    def test_same_bytes_at_another_shape_get_another_key(self):
+        service = make_service(docs=12, d=16)
+        serve_window(service)
+        rec = service.ledger.record(0)
+        memo = {}
+        assert verify_record(rec, service.commitments, service.policy,
+                             root_memo=memo)["tenant_containment"] == "ok"
+        blob = rec.attestation
+        reshaped = dataclasses.replace(
+            rec, attestation=dataclasses.replace(
+                blob, opened_embeddings=blob.opened_embeddings.reshape(6, 32)))
+        claims = verify_record(reshaped, service.commitments, service.policy,
+                               root_memo=memo)
+        assert claims["tenant_containment"] != "ok"
+        (shape_a, digest_a), (shape_b, digest_b) = memo
+        assert digest_a == digest_b and {shape_a, shape_b} == {(12, 16), (6, 32)}
+
+    def test_one_root_build_per_opened_index(self, monkeypatch):
+        service = make_service(docs=12)
+        receipts = serve_window(service)  # 15 records over two tenants
+        calls = []
+        digest = audit.embedding_digest
+        monkeypatch.setattr(audit, "embedding_digest",
+                            lambda v: calls.append(1) or digest(v))
+        verdict = run_audit(service.ledger, service.commitments, service.policy,
+                            receipts, EST_PARAMS, FULL)
+        assert verdict.status == "PASS"
+        assert len(calls) == 2 * 12
+        calls.clear()
+        for pos in range(len(service.ledger)):  # no memo: one build per call
+            verify_record(service.ledger.record(pos), service.commitments, service.policy)
+        assert len(calls) == 15 * 12
 
 
 class TestZkCost:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -57,10 +58,37 @@ class TestDeriveNoise:
 
     def test_known_value_is_stable(self):
         # frozen regression value: bit-exact across platforms/runs
-        v = hs.derive_noise(b"\x00" * 32, b"\x00" * 32, 0, 1.0)
-        assert v == pytest.approx(v)  # finite
-        again = hs.derive_noise(b"\x00" * 32, b"\x00" * 32, 0, 1.0)
-        assert v == again
+        assert hs.derive_noise(b"\x00" * 32, b"\x00" * 32, 0, 1.0) == 0.22924439962715076
+
+    def test_known_block_is_stable(self):
+        block = hs.derive_noise_block(b"\x01" * 32, b"\x02" * 32, 4096, 1.0)
+        assert block.dtype == np.float64 and block.shape == (4096,)
+        assert hashlib.sha256(block.astype(">f8").tobytes()).hexdigest() == (
+            "f73996203f24cc80b70224f0c01eaa332e289fc24ca06664990662fee64009f0"
+        )
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.37, 2.0])
+    def test_block_equals_scalar_draws(self, sigma):
+        seed, digest = b"\x03" * 32, b"\x04" * 32
+        block = hs.derive_noise_block(seed, digest, 300, sigma)
+        assert block.tolist() == [hs.derive_noise(seed, digest, i, sigma) for i in range(300)]
+
+    def test_matches_reference_formula(self):
+        # the draw written out once per coordinate, hashing the full preimage
+        def reference(seed, digest, i, sigma):
+            h = hashlib.sha256(seed + digest + i.to_bytes(8, "big") + bytes(8)).digest()
+            u1 = (int.from_bytes(h[:8], "big") + 0.5) / 2.0**64
+            u2 = (int.from_bytes(h[8:16], "big") + 0.5) / 2.0**64
+            return sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            seed, digest = rng.bytes(32), rng.bytes(32)
+            sigma = float(rng.uniform(0.0, 8.0))
+            block = hs.derive_noise_block(seed, digest, 40, sigma)
+            assert block.tolist() == [reference(seed, digest, i, sigma) for i in range(40)]
+            i = int(rng.integers(0, 2**63))
+            assert hs.derive_noise(seed, digest, i, sigma) == reference(seed, digest, i, sigma)
 
     def test_scales_linearly_in_sigma(self):
         v1 = hs.derive_noise(b"\x01" * 32, b"\x02" * 32, 0, 1.0)
