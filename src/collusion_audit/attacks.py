@@ -1,9 +1,9 @@
 """Coalition adversaries and sweep statistics.
 
 Simulates the k-account membership-inference games (pooled mean, Bayes
-likelihood ratio, diversified multi-target split, top-K hit counting,
-instrumented noisy score), computes Mann-Whitney AUC with DeLong standard
-errors, and runs the falsification gates over sweep grids.
+likelihood ratio, diversified multi-target split, top-K hit counting),
+computes Mann-Whitney AUC with DeLong standard errors, and runs the
+falsification gates over sweep grids.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ __all__ = [
     "cell_seed",
 ]
 
-ADVERSARIES = ("pooled_mean", "bayes_lr", "diversified", "topk_hit", "instrumented_score")
+ADVERSARIES = ("pooled_mean", "bayes_lr", "diversified", "topk_hit")
 REGIMES = ("same_tenant", "external_m4")
 
 SCALAR_GRID = [(k, e) for e in (1.0, 2.0, 4.0) for k in (1, 2, 5, 10, 20)]
@@ -158,7 +158,7 @@ def run_trial(world: WorldPair, config: CoalitionConfig, policy, seed) -> TrialO
     sigma = policy.sigma
     kn = config.k * config.n_per_account
 
-    if config.adversary in ("pooled_mean", "instrumented_score"):
+    if config.adversary == "pooled_mean":
         s_in = rng.normal(mu0, sigma, kn).mean()
         s_out = rng.normal(mu1, sigma, kn).mean()
     elif config.adversary == "bayes_lr":
@@ -257,7 +257,7 @@ def run_sweep(
         key = (k, eps)
         result.auc[key] = mann_whitney_auc(s_in, s_out)
         result.delong_se[key] = delong_se(s_in, s_out)
-        if config.adversary in ("pooled_mean", "bayes_lr", "instrumented_score"):
+        if config.adversary in ("pooled_mean", "bayes_lr"):
             policy = accounting.PolicyParams.calibrated(
                 eps_acc=eps, delta_acc=delta_acc, n_queries=cfg.n_per_account,
                 k_max=policy_template.get("k_max", 100),

@@ -23,23 +23,9 @@ from .encoding import hash_fields
 from .estimator import EstimatorParams
 from .harness import TenantIndex, random_unit_vectors
 
-EXPERIMENTS = (
-    "scalar_sweep", "topk_sweep", "estimator_calibration", "external_vs_same",
-    "alt_adversaries", "epsilon_table", "cost_table", "audit_e2e",
-)
 FIGURES = ("fig1a", "fig1b", "fig3a", "fig3b", "figA1")
 
 _COMMON_KEYS = {"experiment", "out", "seed", "profile"}
-_EXPERIMENT_KEYS = {
-    "scalar_sweep": {"trials", "n_per_account"},
-    "topk_sweep": {"trials", "n_per_account"},
-    "estimator_calibration": {"trials", "khat_curve"},
-    "external_vs_same": {"trials", "n_per_account"},
-    "alt_adversaries": {"trials", "rho_values"},
-    "epsilon_table": set(),
-    "cost_table": set(),
-    "audit_e2e": {"n_accounts", "n_queries"},
-}
 
 
 class ConfigError(Exception):
@@ -60,7 +46,7 @@ def load_config(path: str | None, overrides: dict) -> dict:
     exp = config.get("experiment")
     if exp not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {exp!r}")
-    allowed = _COMMON_KEYS | _EXPERIMENT_KEYS[exp]
+    allowed = _COMMON_KEYS | EXPERIMENTS[exp][1]
     unknown = sorted(set(config) - allowed)
     if unknown:
         raise ConfigError(
@@ -113,7 +99,7 @@ _SWEEP_HEADER = ["k", "eps_acc", "mode", "adversary", "auc", "delong_se",
                  "trials", "predicted_auc"]
 
 
-def _run_scalar_sweep(config: dict, out_dir: str) -> list:
+def _run_scalar_sweep(config: dict, out_dir: str) -> tuple[list, int]:
     trials = config.get("trials", 100 if config["profile"] == "smoke" else defaults.SCALAR_TRIALS)
     n = config.get("n_per_account", defaults.SCALAR_N)
     cfg = CoalitionConfig(k=1, n_per_account=n, adversary="pooled_mean")
@@ -131,10 +117,10 @@ def _run_scalar_sweep(config: dict, out_dir: str) -> list:
             "p2_collapse_rms": gates.p2_collapse_rms,
             "growth_factor": gates.growth_factor,
         }, fh, indent=2, sort_keys=True)
-    return [path, gpath]
+    return [path, gpath], 0
 
 
-def _run_topk_sweep(config: dict, out_dir: str) -> list:
+def _run_topk_sweep(config: dict, out_dir: str) -> tuple[list, int]:
     trials = config.get("trials", 50 if config["profile"] == "smoke" else defaults.TOPK_TRIALS)
     n = config.get("n_per_account", defaults.TOPK_N)
     cfg = CoalitionConfig(k=1, n_per_account=n, adversary="topk_hit")
@@ -143,10 +129,10 @@ def _run_topk_sweep(config: dict, out_dir: str) -> list:
                             "full_sim", config["seed"])
     path = os.path.join(out_dir, "topk_sweep.csv")
     _write_csv(path, _SWEEP_HEADER, _sweep_rows(res))
-    return [path]
+    return [path], 0
 
 
-def _run_estimator_calibration(config: dict, out_dir: str) -> list:
+def _run_estimator_calibration(config: dict, out_dir: str) -> tuple[list, int]:
     trials = config.get("trials", 20 if config["profile"] == "smoke" else 200)
     report = estimator.calibrate(trials=trials, seed=config["seed"],
                                  khat_curve=bool(config.get("khat_curve", False)))
@@ -160,10 +146,10 @@ def _run_estimator_calibration(config: dict, out_dir: str) -> list:
     jpath = os.path.join(out_dir, "operating_theta.json")
     with open(jpath, "w") as fh:
         json.dump({"operating_theta": report.operating_theta}, fh)
-    return [path, jpath]
+    return [path, jpath], 0
 
 
-def _run_external_vs_same(config: dict, out_dir: str) -> list:
+def _run_external_vs_same(config: dict, out_dir: str) -> tuple[list, int]:
     trials = config.get("trials", 50 if config["profile"] == "smoke" else defaults.TOPK_TRIALS)
     n = config.get("n_per_account", defaults.TOPK_N)
     grid = TOPK_GRID if config["profile"] == "paper" else [(1, 16.0), (20, 16.0)]
@@ -173,10 +159,10 @@ def _run_external_vs_same(config: dict, out_dir: str) -> list:
     path = os.path.join(out_dir, "external_vs_same.csv")
     _write_csv(path, ["k", "eps_acc", "auc_same", "se_same", "auc_external",
                       "se_external", "delta_auc", "combined_se"], list(map(list, rows)))
-    return [path]
+    return [path], 0
 
 
-def _run_alt_adversaries(config: dict, out_dir: str) -> list:
+def _run_alt_adversaries(config: dict, out_dir: str) -> tuple[list, int]:
     trials = config.get("trials", 100 if config["profile"] == "smoke" else 2000)
     rows = []
     # Bayes LR vs pooled mean on the scalar grid (shared cell seeds, so the
@@ -196,10 +182,10 @@ def _run_alt_adversaries(config: dict, out_dir: str) -> list:
             rows.append(row)
     path = os.path.join(out_dir, "alt_adversaries.csv")
     _write_csv(path, _SWEEP_HEADER, rows)
-    return [path]
+    return [path], 0
 
 
-def _run_epsilon_table(config: dict, out_dir: str) -> list:
+def _run_epsilon_table(config: dict, out_dir: str) -> tuple[list, int]:
     rows = []
     for k_max, eps in ((10, 1.0), (50, 1.0), (50, 2.0), (100, 1.0)):
         policy = accounting.PolicyParams.calibrated(
@@ -211,10 +197,10 @@ def _run_epsilon_table(config: dict, out_dir: str) -> list:
         rows.append([k_max, eps, round(headline, 2), full])
     path = os.path.join(out_dir, "epsilon_table.csv")
     _write_csv(path, ["k_max", "eps_acc", "eps_audit_headline", "eps_audit_full"], rows)
-    return [path]
+    return [path], 0
 
 
-def _run_cost_table(config: dict, out_dir: str) -> list:
+def _run_cost_table(config: dict, out_dir: str) -> tuple[list, int]:
     rows = []
     for mode in ("optimized", "naive"):
         for N in (10**3, 10**4, 10**5, 10**6):
@@ -224,7 +210,7 @@ def _run_cost_table(config: dict, out_dir: str) -> list:
     path = os.path.join(out_dir, "cost_table.csv")
     _write_csv(path, ["mode", "index_size", "constraints", "prove_seconds",
                       "setup_seconds", "verify_ms"], rows)
-    return [path]
+    return [path], 0
 
 
 def _run_audit_e2e(config: dict, out_dir: str) -> tuple[list, int]:
@@ -259,30 +245,26 @@ def _run_audit_e2e(config: dict, out_dir: str) -> tuple[list, int]:
     return [path], (0 if verdict.status == "PASS" else 1)
 
 
+# experiment name -> (runner, config keys it takes beyond the common ones);
+# a runner returns (paths written, exit code)
+EXPERIMENTS = {
+    "scalar_sweep": (_run_scalar_sweep, {"trials", "n_per_account"}),
+    "topk_sweep": (_run_topk_sweep, {"trials", "n_per_account"}),
+    "estimator_calibration": (_run_estimator_calibration, {"trials", "khat_curve"}),
+    "external_vs_same": (_run_external_vs_same, {"trials", "n_per_account"}),
+    "alt_adversaries": (_run_alt_adversaries, {"trials", "rho_values"}),
+    "epsilon_table": (_run_epsilon_table, set()),
+    "cost_table": (_run_cost_table, set()),
+    "audit_e2e": (_run_audit_e2e, {"n_accounts", "n_queries"}),
+}
+
+
 def run(config: dict) -> tuple[list, int]:
     """Dispatch one experiment; returns (paths written, exit code)."""
     out_dir = config["out"]
     os.makedirs(out_dir, exist_ok=True)
-    exit_code = 0
-    exp = config["experiment"]
-    if exp == "scalar_sweep":
-        paths = _run_scalar_sweep(config, out_dir)
-    elif exp == "topk_sweep":
-        paths = _run_topk_sweep(config, out_dir)
-    elif exp == "estimator_calibration":
-        paths = _run_estimator_calibration(config, out_dir)
-    elif exp == "external_vs_same":
-        paths = _run_external_vs_same(config, out_dir)
-    elif exp == "alt_adversaries":
-        paths = _run_alt_adversaries(config, out_dir)
-    elif exp == "epsilon_table":
-        paths = _run_epsilon_table(config, out_dir)
-    elif exp == "cost_table":
-        paths = _run_cost_table(config, out_dir)
-    elif exp == "audit_e2e":
-        paths, exit_code = _run_audit_e2e(config, out_dir)
-    else:  # pragma: no cover
-        raise ConfigError(exp)
+    runner, _ = EXPERIMENTS[config["experiment"]]
+    paths, exit_code = runner(config, out_dir)
     paths.append(_write_manifest(out_dir, config))
     return paths, exit_code
 
@@ -341,11 +323,6 @@ def main(argv=None) -> int:
     fig.add_argument("--figure", required=True, choices=FIGURES)
     fig.add_argument("--out", required=True)
     args = parser.parse_args(argv)
-
-    # worker count is accepted for compatibility; module-level code is
-    # already vectorized, so it is currently informational only
-    os.environ.setdefault("COLLUSION_AUDIT_WORKERS", "1")
-
     try:
         if args.command == "regen-figure":
             regen_figure_data(args.results, args.figure, args.out)

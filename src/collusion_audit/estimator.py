@@ -27,7 +27,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .encoding import hash_fields
 from .harness import random_unit_vectors
 
 __all__ = [
@@ -36,9 +35,6 @@ __all__ = [
     "CoalitionEstimate",
     "estimate",
     "calibrate",
-    "certify",
-    "verify_certificate",
-    "params_digest",
     "DEFAULT_THETA_GRID",
     "PATTERNS",
 ]
@@ -62,17 +58,9 @@ class EstimatorParams:
             raise ValueError("min_cluster_accounts must be >= 2")
 
 
-def params_digest(params: EstimatorParams) -> bytes:
-    tau = -1 if params.window_tau is None else params.window_tau
-    return hash_fields("estimator-params", params.theta, tau + 1,
-                       params.min_cluster_accounts)
-
-
 @dataclass(frozen=True)
 class CoalitionEstimate:
-    k_hat: int
     largest_cluster_accounts: int
-    certificate_digest: bytes
 
 
 @dataclass
@@ -95,45 +83,38 @@ def _component_account_counts(accounts, adj: np.ndarray) -> list:
 
 
 def estimate(queries, params: EstimatorParams) -> CoalitionEstimate:
-    """Generic estimator: queries are (account_id, embedding, timestamp)."""
-    if not queries:
-        d = hash_fields("estimate", params_digest(params), 1, 1)
-        return CoalitionEstimate(1, 1, d)
-    accounts = [q[0] for q in queries]
-    Q = np.asarray([np.asarray(q[1], dtype=np.float64) for q in queries])
-    ts = np.asarray([q[2] for q in queries], dtype=np.int64)
-    norms = np.linalg.norm(Q, axis=1)
-    if not np.all(np.abs(norms - 1.0) <= 1e-6):
-        raise ValueError("query embeddings must be unit-norm")
-    adj = (Q @ Q.T) >= params.theta - _COS_TOL
-    if params.window_tau is not None:
-        adj &= np.abs(ts[:, None] - ts[None, :]) <= params.window_tau
-    np.fill_diagonal(adj, False)
-    counts = _component_account_counts(accounts, adj)
-    multi = [c for c in counts if c >= params.min_cluster_accounts]
-    c = max(multi) if multi else 1
-    k_hat = c
-    digest = hash_fields("estimate", params_digest(params), k_hat, c)
-    return CoalitionEstimate(k_hat, c, digest)
+    """Generic estimator: queries are (account_id, embedding, timestamp).
 
-
-def certify(queries, params: EstimatorParams, est: CoalitionEstimate,
-            ledger_root: bytes = b"\x00" * 32) -> bytes:
-    """Transparent-backend certificate binding (ledger root, params,
-    estimate)."""
-    return hash_fields("estimator-cert", ledger_root, params_digest(params),
-                       est.k_hat, est.largest_cluster_accounts)
-
-
-def verify_certificate(ledger_root: bytes, params: EstimatorParams,
-                       est: CoalitionEstimate, replay_queries) -> bool:
-    """Re-run the estimator on the replayed queries and check the claimed
-    estimate (and its certificate) match."""
-    redo = estimate(replay_queries, params)
-    if redo.k_hat != est.k_hat or redo.largest_cluster_accounts != est.largest_cluster_accounts:
-        return False
-    expected = certify(replay_queries, params, redo, ledger_root)
-    return expected == certify(replay_queries, params, est, ledger_root)
+    Embeddings more than 1e-6 from unit norm are normalised (the others
+    are used as given), a zero or non-finite embedding has no edges, and
+    embeddings of different dimension are never linked: each dimension is
+    clustered on its own and the largest cluster over all of them counts.
+    """
+    groups = {}
+    for account, vector, timestamp in queries:
+        vector = np.asarray(vector, dtype=np.float64)
+        accounts, rows, times = groups.setdefault(vector.shape, ([], [], []))
+        accounts.append(account)
+        rows.append(vector)
+        times.append(timestamp)
+    largest = 1
+    for accounts, rows, times in groups.values():
+        Q = np.asarray(rows)
+        norms = np.linalg.norm(Q, axis=1)
+        usable = np.isfinite(norms) & (norms > 0)
+        off = usable & (np.abs(norms - 1.0) > 1e-6)
+        Q[off] /= norms[off, None]
+        adj = (Q @ Q.T) >= params.theta - _COS_TOL
+        adj[~usable] = False
+        adj[:, ~usable] = False
+        if params.window_tau is not None:
+            ts = np.asarray(times, dtype=np.int64)
+            adj &= np.abs(ts[:, None] - ts[None, :]) <= params.window_tau
+        np.fill_diagonal(adj, False)
+        counts = _component_account_counts(accounts, adj)
+        multi = [c for c in counts if c >= params.min_cluster_accounts]
+        largest = max([largest, *multi])
+    return CoalitionEstimate(largest)
 
 
 # --- calibration ----------------------------------------------------------
@@ -160,7 +141,7 @@ def _cross_account_pairs(Q: np.ndarray, n_per_account: int, theta: float):
     return list(zip(ii.tolist(), jj.tolist()))
 
 
-def _spurious_component_max(pairs, n_per_account: int, n_queries: int) -> int:
+def _spurious_component_max(pairs, n_per_account: int) -> int:
     """Largest distinct-account count over components formed by the given
     cross-account edges (0 when there are no edges)."""
     if not pairs:
@@ -194,7 +175,7 @@ def _colluder_queries(rng, pattern: str, k: int, n: int, d: int,
 
 
 def _colluders_connected(Q_col: np.ndarray, pattern: str, k: int, n: int,
-                         theta: float, rng) -> bool:
+                         theta: float) -> bool:
     """Exact-but-cheap connectivity check for the colluder block."""
     if pattern == "P-A":
         return True
@@ -219,7 +200,6 @@ def _colluders_connected(Q_col: np.ndarray, pattern: str, k: int, n: int,
         return len(reached) == k
     # P-B: angle bound — every query is within arccos(c0) of q*, so any
     # pair is within twice that
-    c0 = None
     qstar = Q_col.mean(axis=0)
     qstar /= np.linalg.norm(qstar)
     c0 = float(np.min(Q_col @ qstar))
@@ -288,12 +268,12 @@ def calibrate(
                 Q_col, anchors = _colluder_queries(
                     arm_rng, pattern, k, n, d, jitter, intent_set
                 )
-                connected = _colluders_connected(Q_col, pattern, k, n, operating, arm_rng)
+                connected = _colluders_connected(Q_col, pattern, k, n, operating)
                 attach = float((nulls @ anchors.astype(np.float32).T).max()) >= operating - _COS_TOL
                 if connected and not attach:
                     pairs = [p for p in null_pairs_all
                              if p[0] < (A - k) * n and p[1] < (A - k) * n]
-                    spurious = _spurious_component_max(pairs, n, (A - k) * n)
+                    spurious = _spurious_component_max(pairs, n)
                     k_hat = max(k, spurious)
                 else:
                     # rare slow path: fall back to the generic estimator
@@ -302,7 +282,8 @@ def calibrate(
                         + [(f"u{i // n}", nulls[i].astype(np.float64)
                             / np.linalg.norm(nulls[i]), i) for i in range(len(nulls))]
                     )
-                    k_hat = estimate(queries, EstimatorParams(theta=operating)).k_hat
+                    k_hat = estimate(queries, EstimatorParams(
+                        theta=operating)).largest_cluster_accounts
                 khat_sum[(pattern, k)] += k_hat
                 detect_count[(pattern, k)] += k_hat >= 2
                 exact_count[(pattern, k)] += k_hat == k
@@ -326,6 +307,7 @@ def calibrate(
                             [(f"c{i // n}", Q_col[i], i) for i in range(len(Q_col))]
                             + [(f"u{i // n}", nulls[i], i) for i in range(len(nulls))]
                         )
-                        tot += estimate(queries, EstimatorParams(theta=float(th))).k_hat
+                        tot += estimate(queries, EstimatorParams(
+                            theta=float(th))).largest_cluster_accounts
                     report.khat_by_pattern[(pattern, k, float(th))] = tot / khat_curve_trials
     return report

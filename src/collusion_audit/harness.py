@@ -170,8 +170,6 @@ class NoiseSeedRecord:
 class RetrievalOutput:
     topk_positions: tuple
     topk_doc_ids: tuple
-    noisy_scores: np.ndarray | None = None  # instrumented mode only
-    instrumented: bool = False
 
 
 # coordinate || counter on the way in, the two leading 64-bit words of the
@@ -234,15 +232,9 @@ def topk_retrieve(
     K: int,
     sigma: float,
     noise_base: NoiseSeedRecord,
-    instrumented: bool = False,
 ) -> RetrievalOutput:
     """Noise-then-select retrieval: noise every score, then take the K
-    largest (ties broken toward the lower position index).
-
-    ``instrumented=True`` additionally returns the noisy score vector; this
-    surface is for experiments only and is never reachable through the
-    account-facing service API.
-    """
+    largest (ties broken toward the lower position index)."""
     if K > len(index):
         raise ValueError("K exceeds index size")
     scores = index.embeddings @ np.asarray(query, dtype=np.float64)
@@ -255,8 +247,6 @@ def topk_retrieve(
     return RetrievalOutput(
         topk_positions=tuple(int(i) for i in top),
         topk_doc_ids=tuple(index.doc_ids[i] for i in top),
-        noisy_scores=scores if instrumented else None,
-        instrumented=instrumented,
     )
 
 

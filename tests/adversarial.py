@@ -1,0 +1,102 @@
+"""A dishonest provider for the audit tests.
+
+``audit.AuditService`` and ``audit.attest_query`` serve only honestly.
+The misbehaviours of the mutation battery are built here from the same
+public pieces (``topk_retrieve``, ``AttestationBlob``, ``QueryRecord``,
+``MerkleLedger.append`` and ``issue_receipt``):
+
+* ``wrong_sigma`` serves every query with noise at half the committed
+  sigma and claims that sigma in the witness; ``select_then_noise``
+  selects on clean scores and claims the committed sigma.
+* ``wrong_embedder_digest`` and ``cross_tenant_opening`` serve honestly
+  and then rewrite every witness. The witness is not part of the ledger
+  leaf, so roots and receipts stay valid.
+* ``drop_receipted_record`` serves honestly and then rebuilds the ledger
+  without its last record, whose account holds a receipt for it.
+
+Serve with :func:`attest_query`, then call :func:`publish`, which puts
+the ledger the provider shows the verifier in ``service.ledger``.
+"""
+
+import dataclasses
+
+import numpy as np
+
+from collusion_audit import audit
+from collusion_audit.encoding import sha256
+from collusion_audit.harness import NoiseSeedRecord, topk_retrieve
+from collusion_audit.ledger import (
+    MerkleLedger,
+    QueryRecord,
+    issue_receipt,
+    record_core_digest,
+)
+
+# misbehaviour -> (served sigma, witness sigma) as multiples of the policy's
+NOISE_FAULTS = {"wrong_sigma": (0.5, 0.5), "select_then_noise": (0.0, 1.0)}
+
+
+def attest_query(service, query, account_id, tenant_id, misbehavior=None, K=5):
+    """``audit.attest_query``, except that the misbehaviours in
+    ``NOISE_FAULTS`` serve with the wrong noise."""
+    if misbehavior not in NOISE_FAULTS:
+        return audit.attest_query(service, query, account_id, tenant_id, K)
+    served, claimed = (f * service.policy.sigma for f in NOISE_FAULTS[misbehavior])
+    ts = service.next_timestamp()
+    q_digest = audit.query_vector_digest(query)
+    core = record_core_digest(account_id, tenant_id, q_digest, ts)
+    index = service.indices[tenant_id]
+    out = topk_retrieve(index, query, K, served,
+                        NoiseSeedRecord(service.window_seed, core, served))
+    blob = audit.AttestationBlob(
+        embedder_digest=service.embedder_digest, window_seed=service.window_seed,
+        sigma=claimed, core_digest=core, query_vector=np.asarray(query, dtype=np.float64),
+        opened_embeddings=index.embeddings, opened_tenant_id=tenant_id,
+    )
+    record = QueryRecord(
+        account_id=account_id, tenant_id=tenant_id, query_digest=q_digest,
+        topk_digest=audit.topk_output_digest(out.topk_positions, out.topk_doc_ids),
+        timestamp=ts, attestation=blob,
+    )
+    root, pos = service.ledger.append(record)
+    return record, issue_receipt(record, pos, root, service.signing_key)
+
+
+def rewrite_witnesses(ledger, edit):
+    """The same records and roots, each attestation replaced by
+    ``edit(position, blob)``; the witness is not part of the leaf."""
+    out = MerkleLedger()
+    for pos, rec in enumerate(ledger.records):
+        out.append(dataclasses.replace(rec, attestation=edit(pos, rec.attestation)))
+    assert out.root == ledger.root
+    return out
+
+
+def rogue_embedder(service, blob):
+    return dataclasses.replace(blob, embedder_digest=sha256(b"rogue embedder"))
+
+
+def cross_tenant_opening(service, blob):
+    """Open the first document of another tenant in place of this
+    tenant's first document."""
+    other = next(t for t in service.indices if t != blob.opened_tenant_id)
+    foreign = service.indices[other].embeddings[0]
+    opened = np.vstack([foreign[None, :], blob.opened_embeddings[1:]])
+    return dataclasses.replace(blob, opened_embeddings=opened)
+
+
+WITNESS_FAULTS = {"wrong_embedder_digest": rogue_embedder,
+                  "cross_tenant_opening": cross_tenant_opening}
+
+
+def publish(service, misbehavior=None):
+    """Replace ``service.ledger`` by the ledger the provider publishes."""
+    if misbehavior in WITNESS_FAULTS:
+        fault = WITNESS_FAULTS[misbehavior]
+        service.ledger = rewrite_witnesses(service.ledger,
+                                           lambda pos, blob: fault(service, blob))
+    elif misbehavior == "drop_receipted_record":
+        rebuilt = MerkleLedger()
+        for rec in service.ledger.records[:-1]:
+            rebuilt.append(rec)
+        service.ledger = rebuilt

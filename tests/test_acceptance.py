@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+import adversarial
 from collusion_audit import accounting, attacks, audit, defaults, estimator
 from collusion_audit.accounting import PolicyParams
 from collusion_audit.attacks import SCALAR_GRID, TOPK_GRID, CoalitionConfig
@@ -177,14 +178,15 @@ def test_criterion_10_ledger_and_adversarial_mutations():
         indices = [TenantIndex("tenant-a", random_unit_vectors(rng, 12, 16)),
                    TenantIndex("tenant-b", random_unit_vectors(rng, 12, 16))]
         policy = PolicyParams.calibrated(1.0, 1e-6, 5, 10, 1e-5)
-        service = audit.AuditService(policy, indices, b"\x07" * 32,
-                                     misbehavior=misbehavior)
+        service = audit.AuditService(policy, indices, b"\x07" * 32)
         receipts = []
         for a in range(3):
             for _ in range(5):
                 q = random_unit_vectors(rng, 1, 16)[0]
-                _, rc = audit.attest_query(service, q, f"acct{a}", "tenant-a")
+                _, rc = adversarial.attest_query(service, q, f"acct{a}", "tenant-a",
+                                                 misbehavior)
                 receipts.append((rc, service.public_key))
+        adversarial.publish(service, misbehavior)
         return run_audit(service.ledger, service.commitments, policy, receipts,
                          EstimatorParams(0.80), VerificationPlan(mode="full"),
                          published_root=published_root)

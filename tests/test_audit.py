@@ -1,9 +1,14 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import adversarial
+from adversarial import rewrite_witnesses
 from collusion_audit import audit
 from collusion_audit.accounting import PolicyParams
 from collusion_audit.audit import (
@@ -17,7 +22,12 @@ from collusion_audit.audit import (
 )
 from collusion_audit.encoding import sha256
 from collusion_audit.estimator import EstimatorParams
-from collusion_audit.harness import TenantIndex, random_unit_vectors
+from collusion_audit.harness import (
+    NoiseSeedRecord,
+    TenantIndex,
+    random_unit_vectors,
+    topk_retrieve,
+)
 from collusion_audit.ledger import MerkleLedger, load_ledger, save_ledger
 
 EST_PARAMS = EstimatorParams(theta=0.80)
@@ -27,37 +37,31 @@ def make_policy(eps=1.0, n=5, k_max=10):
     return PolicyParams.calibrated(eps, 1e-6, n, k_max, 1e-5)
 
 
-def make_service(policy=None, misbehavior=None, seed=0, d=16, docs=12):
+def make_service(policy=None, seed=0, d=16, docs=12):
     rng = np.random.default_rng(seed)
     indices = [
         TenantIndex("tenant-a", random_unit_vectors(rng, docs, d)),
         TenantIndex("tenant-b", random_unit_vectors(rng, docs, d)),
     ]
-    return AuditService(policy or make_policy(), indices, b"\x07" * 32,
-                        misbehavior=misbehavior)
+    return AuditService(policy or make_policy(), indices, b"\x07" * 32)
 
 
-def serve_window(service, n_accounts=3, queries_per_account=5, d=16, seed=1):
-    """Honest accounts issuing iid queries; returns (receipt, pk) pairs."""
+def serve_window(service, n_accounts=3, queries_per_account=5, d=16, seed=1,
+                 misbehavior=None):
+    """Accounts issuing iid queries to a provider that is honest unless
+    ``misbehavior`` names a fault of ``adversarial``; returns (receipt,
+    pk) pairs."""
     rng = np.random.default_rng(seed)
     receipts = []
     for a in range(n_accounts):
         tenant = "tenant-a" if a % 2 == 0 else "tenant-b"
         for _ in range(queries_per_account):
             q = random_unit_vectors(rng, 1, d)[0]
-            _, receipt = attest_query(service, q, f"acct{a}", tenant)
+            _, receipt = adversarial.attest_query(service, q, f"acct{a}", tenant,
+                                                  misbehavior)
             receipts.append((receipt, service.public_key))
+    adversarial.publish(service, misbehavior)
     return receipts
-
-
-def rewrite_witnesses(ledger, edit):
-    """The same records and roots, each attestation replaced by
-    ``edit(position, blob)``; the witness is not part of the leaf."""
-    out = MerkleLedger()
-    for pos, rec in enumerate(ledger.records):
-        out.append(dataclasses.replace(rec, attestation=edit(pos, rec.attestation)))
-    assert out.root == ledger.root
-    return out
 
 
 FULL = VerificationPlan(mode="full")
@@ -168,8 +172,8 @@ class TestAdversarialProvider:
         ("drop_receipted_record", "receipt_consistency"),
     ])
     def test_mutation_battery(self, misbehavior, check):
-        service = make_service(misbehavior=misbehavior)
-        receipts = serve_window(service)
+        service = make_service()
+        receipts = serve_window(service, misbehavior=misbehavior)
         verdict = run_audit(service.ledger, service.commitments, service.policy,
                             receipts, EST_PARAMS, FULL)
         assert verdict.status == "FAIL"
@@ -177,6 +181,23 @@ class TestAdversarialProvider:
         assert verdict.witnesses[0]["check"] == check
         assert verdict.eps_audit_headline is None
         assert verdict.eps_audit_full is None
+
+    def test_select_then_noise_publishes_the_clean_top_k(self):
+        # the fault is in the serving, not only in the witness
+        service = make_service()
+        serve_window(service, misbehavior="select_then_noise")
+
+        def topk_digest(rec, sigma):
+            blob = rec.attestation
+            noise = NoiseSeedRecord(service.window_seed, blob.core_digest, sigma)
+            out = topk_retrieve(service.indices[rec.tenant_id], blob.query_vector, 5,
+                                sigma, noise)
+            return audit.topk_output_digest(out.topk_positions, out.topk_doc_ids)
+
+        records = service.ledger.records
+        assert all(topk_digest(rec, 0.0) == rec.topk_digest for rec in records)
+        assert any(topk_digest(rec, service.policy.sigma) != rec.topk_digest
+                   for rec in records)
 
     def test_inflated_ledger_root(self):
         service = make_service()
@@ -307,11 +328,12 @@ class TestIndexRootMemo:
         # opening is checked; its own buffer must still be rebuilt
         service = make_service()
         receipts = serve_window(service)
-        service.misbehavior = "cross_tenant_opening"
         q = random_unit_vectors(np.random.default_rng(5), 1, 16)[0]
         _, receipt = attest_query(service, q, "acct0", "tenant-a")
         receipts.append((receipt, service.public_key))
-        verdict = run_audit(service.ledger, service.commitments, service.policy,
+        forged = rewrite_witnesses(service.ledger, lambda pos, blob: (
+            adversarial.cross_tenant_opening(service, blob) if pos == 15 else blob))
+        verdict = run_audit(forged, service.commitments, service.policy,
                             receipts, EST_PARAMS, FULL)
         assert verdict.witnesses == [{
             "check": "tenant_containment",
@@ -350,6 +372,100 @@ class TestIndexRootMemo:
         for pos in range(len(service.ledger)):  # no memo: one build per call
             verify_record(service.ledger.record(pos), service.commitments, service.policy)
         assert len(calls) == 15 * 12
+
+
+class TestUnusualEstimatorInputs:
+    """Valid but unusual windows reach the estimator and get a verdict."""
+
+    def test_non_unit_query(self):
+        service = make_service()
+        receipts = serve_window(service)
+        q = 2.0 * random_unit_vectors(np.random.default_rng(5), 1, 16)[0]
+        _, receipt = attest_query(service, q, "acct9", "tenant-a")
+        receipts.append((receipt, service.public_key))
+        verdict = run_audit(service.ledger, service.commitments, service.policy,
+                            receipts, EST_PARAMS, FULL)
+        assert verdict.status == "PASS"
+
+    def test_tenants_of_different_dimension(self):
+        rng = np.random.default_rng(0)
+        indices = [TenantIndex("wide", random_unit_vectors(rng, 12, 16)),
+                   TenantIndex("narrow", random_unit_vectors(rng, 12, 8))]
+        service = AuditService(make_policy(), indices, b"\x07" * 32)
+        receipts = []
+        for tenant, d in (("wide", 16), ("narrow", 8)):
+            _, receipt = attest_query(service, random_unit_vectors(rng, 1, d)[0],
+                                      f"acct-{tenant}", tenant)
+            receipts.append((receipt, service.public_key))
+        verdict = run_audit(service.ledger, service.commitments, service.policy,
+                            receipts, EST_PARAMS, FULL)
+        assert verdict.status == "PASS"
+
+
+@functools.cache
+def honest_window():
+    service = make_service()
+    return service, tuple(serve_window(service))
+
+
+def replacements(value) -> list:
+    """None, values of the wrong type or shape, and, for an array, the
+    array rescaled (a non-unit query), cut to another dimension, cut
+    short, transposed, zeroed and cast."""
+    out = [None, "x", 3, -1, 1.5, float("nan"), b"\x00" * 32, [1.0, 2.0],
+           np.zeros(()), np.zeros((2, 2)), np.zeros(0), np.ones(17),
+           np.full(16, np.nan), np.array(["a", "b"]), np.ones(16, dtype=bool),
+           np.ones(16, dtype=complex)]
+    if isinstance(value, np.ndarray):
+        out += [2.0 * value, value[..., :8], value[:5], value.T, np.zeros_like(value),
+                value.astype(np.float32), value.astype(int)]
+    return out
+
+
+WITNESS_FIELDS = [f.name for f in dataclasses.fields(audit.AttestationBlob)]
+# Values of the wrong type cannot be put in a ledger (the leaf hash has no
+# encoding for them), so record fields get other values of their type.
+RECORD_VALUES = {
+    "account_id": st.sampled_from(["", "acct9", "acct1"]),
+    "tenant_id": st.sampled_from(["", "tenant-b", "tenant-z"]),
+    "query_digest": st.binary(min_size=32, max_size=32),
+    "topk_digest": st.binary(min_size=32, max_size=32),
+}
+CHECKS = set(audit.CLAIMS) | {"commitment_integrity", "ledger_extension",
+                              "receipt_consistency", "policy_cap"}
+
+
+class TestTotality:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), pos=st.integers(0, 14),
+           field=st.sampled_from(["attestation", *WITNESS_FIELDS, *RECORD_VALUES]),
+           sampled=st.booleans())
+    def test_mutated_record_gets_a_verdict(self, data, pos, field, sampled):
+        service, receipts = honest_window()
+        rec = service.ledger.record(pos)
+        if field in RECORD_VALUES:
+            rec = dataclasses.replace(rec, **{field: data.draw(RECORD_VALUES[field])})
+        elif field == "attestation":
+            rec = dataclasses.replace(rec, attestation=data.draw(
+                st.sampled_from(replacements(None))))
+        else:
+            value = getattr(rec.attestation, field)
+            blob = dataclasses.replace(rec.attestation, **{field: data.draw(
+                st.sampled_from(replacements(value)))})
+            rec = dataclasses.replace(rec, attestation=blob)
+        mutated = MerkleLedger()
+        for i, old in enumerate(service.ledger.records):
+            mutated.append(rec if i == pos else old)
+        plan = VerificationPlan(mode="sampled", s=1, beta=1.0, eta=0.5) if sampled else FULL
+        verdict = run_audit(mutated, service.commitments, service.policy, list(receipts),
+                            EST_PARAMS, plan, seed=pos)
+        assert isinstance(verdict, audit.AuditVerdict)
+        assert verdict.status in ("PASS", "FAIL")
+        if verdict.status == "FAIL":
+            (witness,) = verdict.witnesses
+            assert witness["check"] in CHECKS
+            assert isinstance(witness["witness"], str) and witness["witness"]
+            assert verdict.checks[witness["check"]] == witness["witness"]
 
 
 class TestZkCost:

@@ -161,14 +161,6 @@ class TestTopkRetrieve:
         out = hs.topk_retrieve(idx, np.eye(3)[0], 2, 0.0, noise_record())
         assert out.topk_positions == (0, 1)
 
-    def test_instrumented_channel_flagged(self):
-        idx = hs.TenantIndex("t", np.eye(4))
-        out = hs.topk_retrieve(idx, np.eye(4)[0], 2, 1.0, noise_record())
-        assert out.noisy_scores is None and not out.instrumented
-        out_i = hs.topk_retrieve(idx, np.eye(4)[0], 2, 1.0, noise_record(),
-                                 instrumented=True)
-        assert out_i.instrumented and len(out_i.noisy_scores) == 4
-
     def test_tenant_isolation(self):
         # retrieval depends only on the supplied index: building and
         # mutating an unrelated index cannot change the output
