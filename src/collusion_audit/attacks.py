@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtr
 from scipy.stats import rankdata
 
 from . import accounting
@@ -38,6 +39,14 @@ REGIMES = ("same_tenant", "external_m4")
 SCALAR_GRID = [(k, e) for e in (1.0, 2.0, 4.0) for k in (1, 2, 5, 10, 20)]
 TOPK_GRID = [(k, e) for e in (4.0, 8.0, 16.0) for k in (1, 2, 5, 10, 20)]
 
+# Trapezoid rule over the planted slot's standard-normal noise z for the
+# exact top-K hit probability: nodes 0.2*i for i = -45..45. The weight
+# beyond |z| = 9 is below 1e-18 and the integrand varies on the unit scale
+# in z whatever sigma is, so the rule is accurate to about 1e-12.
+_Z_NODES = 0.2 * np.arange(-45, 46)
+_Z_WEIGHTS = 0.2 * np.exp(-0.5 * _Z_NODES**2) / math.sqrt(2.0 * math.pi)
+_TOPK_BLOCK = 256  # trials per block of the hit-probability DP (bounds its memory)
+
 
 @dataclass(frozen=True)
 class CoalitionConfig:
@@ -62,6 +71,8 @@ class CoalitionConfig:
                 raise ValueError("diversified adversary needs rho in (0, 1]")
             if math.ceil(self.rho * self.k) < 1:
                 raise ValueError("rho * k must round up to >= 1")
+        if self.adversary == "topk_hit" and not 1 <= self.K <= self.n_background:
+            raise ValueError("topk_hit needs 1 <= K <= n_background")
 
     @property
     def n_target_accounts(self) -> int:
@@ -141,12 +152,40 @@ def _topk_hits(rng, config: CoalitionConfig, planted_score: float, bg_scores, si
     """Pooled count of queries whose planted slot survives top-K selection."""
     kn = config.k * config.n_per_account
     noise = rng.standard_normal((kn, config.n_background + 1), dtype=np.float32)
-    noise *= sigma
-    noisy_bg = np.asarray(bg_scores, dtype=np.float32)[None, :] + noise[:, :-1]
-    noisy_p = planted_score + noise[:, -1]
-    # planted makes top-K iff it beats the K-th largest background score
-    kth = np.partition(noisy_bg, -config.K, axis=1)[:, -config.K]
-    return int(np.sum(noisy_p > kth))
+    noisy_bg = noise[:, :-1] * np.float32(sigma)
+    noisy_bg += np.asarray(bg_scores, dtype=np.float32)
+    noisy_p = planted_score + noise[:, -1] * np.float32(sigma)
+    # the planted slot beats the K-th largest background score iff fewer
+    # than K background scores are >= it
+    beaten_by = np.count_nonzero(noisy_bg >= noisy_p[:, None], axis=1)
+    return int(np.count_nonzero(beaten_by < config.K))
+
+
+def _topk_hit_prob(bg, planted, sigma: float, K: int):
+    """Probability that a planted slot survives noisy top-K selection.
+
+    ``bg`` is (T, n_bg) background scores and ``planted`` a sequence of B
+    planted scores; returns (T, B). Every score gets independent N(0,
+    sigma^2) noise. Given the noise sigma*z on a planted score s,
+    background j is at or above the planted slot with probability
+    q_j = Phi((bg_j - s)/sigma - z), independently over j, and the slot
+    survives iff at most K - 1 of them are: a Poisson-binomial CDF,
+    computed by a K-wide DP over j and integrated over z on the fixed
+    trapezoid nodes.
+    """
+    bg = np.asarray(bg, dtype=np.float64)
+    planted = np.asarray(planted, dtype=np.float64)
+    offset = planted[:, None] / sigma + _Z_NODES  # (B, nodes)
+    # pmf[c]: probability that c of the backgrounds so far are at or above
+    # the planted slot, for c < K (mass beyond K - 1 is dropped)
+    pmf = np.zeros((K, bg.shape[0]) + offset.shape)
+    pmf[0] = 1.0
+    for j in range(bg.shape[1]):
+        q = ndtr(bg[:, j, None, None] / sigma - offset)  # (T, B, nodes)
+        carry = pmf[:-1] * q
+        pmf *= 1.0 - q
+        pmf[1:] += carry
+    return np.clip(pmf.sum(axis=0) @ _Z_WEIGHTS, 0.0, 1.0)
 
 
 def run_trial(world: WorldPair, config: CoalitionConfig, policy, seed) -> TrialOutcome:
@@ -201,19 +240,37 @@ def _simulate_scalar_cell(rng, config, sigma: float, trials: int, mode: str):
     return s_in, s_out
 
 
+def _background_scores(rng, shape, d: int):
+    """Scores <q*, x_j> of uniform-sphere documents x_j: the first
+    coordinate of a normalized Gaussian (rotation invariance)."""
+    z = rng.standard_normal((*shape, d))
+    return z[..., 0] / np.linalg.norm(z, axis=-1)
+
+
 def _simulate_topk_cell(rng, config, sigma: float, trials: int):
     """Paired top-K hit counts with a fresh background per trial."""
-    d = config.d
     s_in = np.empty(trials)
     s_out = np.empty(trials)
     for t in range(trials):
-        z = rng.standard_normal((config.n_background, d))
-        # <q*, x_j> for uniform-sphere x_j is the first coordinate of a
-        # normalized Gaussian (rotation invariance)
-        bg = z[:, 0] / np.linalg.norm(z, axis=1)
+        bg = _background_scores(rng, (config.n_background,), config.d)
         s_in[t] = _topk_hits(rng, config, 1.0, bg, sigma)
         s_out[t] = _topk_hits(rng, config, 0.0, bg, sigma)
     return s_in, s_out
+
+
+def _exact_topk_cell(rng, config, sigma: float, trials: int):
+    """Paired top-K hit counts drawn from their exact law: given a trial's
+    background, each of the kn queries hits independently with the same
+    probability p_b, so the pooled count is Binomial(kn, p_b). All
+    backgrounds are drawn before all counts, so the draws do not depend
+    on the block size."""
+    p = np.empty((trials, 2))
+    for lo in range(0, trials, _TOPK_BLOCK):
+        bg = _background_scores(rng, (min(_TOPK_BLOCK, trials - lo), config.n_background),
+                                config.d)
+        p[lo:lo + len(bg)] = _topk_hit_prob(bg, (1.0, 0.0), sigma, config.K)
+    counts = rng.binomial(config.k * config.n_per_account, p).astype(float)
+    return counts[:, 0], counts[:, 1]
 
 
 def run_sweep(
@@ -227,16 +284,16 @@ def run_sweep(
 ) -> SweepResult:
     """T paired trials per (k, eps_acc) cell.
 
-    ``sufficient_stat`` samples the pooled mean directly from its exact
-    distribution N(mu_b, sigma^2/(kn)); valid for pooled_mean / bayes_lr /
-    diversified only. ``full_sim`` simulates every release.
+    ``sufficient_stat`` draws each trial's statistic from its exact law:
+    the pooled mean from N(mu_b, sigma^2/(kn)) for pooled_mean / bayes_lr /
+    diversified, and for topk_hit the hit count from Binomial(kn, p_b),
+    with p_b computed from a fresh background (see ``_topk_hit_prob``).
+    ``full_sim`` simulates every release and is the reference.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
     if mode not in ("full_sim", "sufficient_stat"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sufficient_stat" and config.adversary in ("topk_hit",):
-        raise ValueError("no closed-form sufficient statistic for topk_hit")
     delta_acc = policy_template.get("delta_acc", 1e-6)
     result = SweepResult(
         grid=list(grid), auc={}, delong_se={}, trials=trials, mode=mode,
@@ -251,7 +308,8 @@ def run_sweep(
         sigma = accounting.calibrate_sigma(eps, delta_acc, cfg.n_per_account, 1.0)
         rng = np.random.default_rng(cell_seed(master_seed, k, eps, mode, cfg.regime))
         if config.adversary == "topk_hit":
-            s_in, s_out = _simulate_topk_cell(rng, cfg, sigma, trials)
+            simulate = _exact_topk_cell if mode == "sufficient_stat" else _simulate_topk_cell
+            s_in, s_out = simulate(rng, cfg, sigma, trials)
         else:
             s_in, s_out = _simulate_scalar_cell(rng, cfg, sigma, trials, mode)
         key = (k, eps)

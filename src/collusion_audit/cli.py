@@ -1,9 +1,9 @@
 """Experiment runner CLI.
 
 One subcommand per experiment; each writes CSV/JSON artifacts plus a run
-manifest (seed, config digest, version) into the output directory. Exit
-codes: 0 success / audit PASS, 1 audit FAIL, 2 invalid configuration or
-protocol error.
+manifest (seed, config digest, package, Python, numpy and scipy versions)
+into the output directory. Exit codes: 0 success / audit PASS, 1 audit
+FAIL, 2 invalid configuration or protocol error.
 """
 
 from __future__ import annotations
@@ -13,9 +13,11 @@ import csv
 import json
 import math
 import os
+import platform
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__, accounting, attacks, audit, defaults, estimator
 from .attacks import SCALAR_GRID, TOPK_GRID, CoalitionConfig
@@ -78,6 +80,10 @@ def _write_manifest(out_dir: str, config: dict) -> str:
         "seed": config.get("seed"),
         "profile": config.get("profile"),
         "config_digest": hash_fields("config", blob).hex(),
+        # the numbers depend on these (numpy's random streams, scipy's ndtr)
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
     }
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w") as fh:
@@ -126,7 +132,7 @@ def _run_topk_sweep(config: dict, out_dir: str) -> tuple[list, int]:
     cfg = CoalitionConfig(k=1, n_per_account=n, adversary="topk_hit")
     grid = TOPK_GRID if config["profile"] == "paper" else [(1, 16.0), (20, 16.0)]
     res = attacks.run_sweep(grid, cfg, defaults.POLICY_TEMPLATE, trials,
-                            "full_sim", config["seed"])
+                            "sufficient_stat", config["seed"])
     path = os.path.join(out_dir, "topk_sweep.csv")
     _write_csv(path, _SWEEP_HEADER, _sweep_rows(res))
     return [path], 0

@@ -230,3 +230,18 @@ def test_criterion_12_mode_equivalence():
     assert abs(full.auc[cell] - suff.auc[cell]) <= 2 * comb
     _, p = ks_2samp(full.stats[cell][0], suff.stats[cell][0])
     assert p > 0.01
+
+
+def test_criterion_13_topk_mode_equivalence():
+    cfg = CoalitionConfig(k=1, n_per_account=200, adversary="topk_hit")
+    cell = (5, 16.0)
+    full = attacks.run_sweep([cell], cfg, defaults.POLICY_TEMPLATE, 2000, "full_sim",
+                             SEEDS["mode_equivalence"], keep_stats=True)
+    exact = attacks.run_sweep([cell], cfg, defaults.POLICY_TEMPLATE, 2000,
+                              "sufficient_stat", SEEDS["mode_equivalence"] + 1,
+                              keep_stats=True)
+    comb = math.sqrt(full.delong_se[cell] ** 2 + exact.delong_se[cell] ** 2)
+    assert abs(full.auc[cell] - exact.auc[cell]) <= 2 * comb
+    for arm in (0, 1):  # in-arm and out-arm hit counts
+        _, p = ks_2samp(full.stats[cell][arm], exact.stats[cell][arm])
+        assert p > 0.01

@@ -1,10 +1,13 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import ks_2samp
+from scipy.integrate import quad
+from scipy.special import ndtr
+from scipy.stats import ks_2samp, norm
 
 from collusion_audit import accounting, attacks, defaults
 from collusion_audit.attacks import CoalitionConfig, SweepResult
@@ -113,6 +116,16 @@ class TestRunTrial:
         assert 0 <= out.statistic_in <= 2 * n
         assert 0 <= out.statistic_out <= 2 * n
 
+    @pytest.mark.parametrize("K, n_background", [(0, 50), (-1, 50), (51, 50), (1, 0)])
+    def test_topk_K_outside_background_rejected(self, K, n_background):
+        with pytest.raises(ValueError, match="1 <= K <= n_background"):
+            CoalitionConfig(k=1, n_per_account=5, adversary="topk_hit", K=K,
+                            n_background=n_background)
+
+    def test_topk_K_range_ends_accepted(self):
+        for K in (1, 50):
+            CoalitionConfig(k=1, n_per_account=5, adversary="topk_hit", K=K, n_background=50)
+
     def test_diversified_rho_validation(self):
         with pytest.raises(ValueError):
             CoalitionConfig(k=2, n_per_account=5, adversary="diversified")
@@ -131,11 +144,17 @@ class TestRunSweep:
         for key in pooled.auc:
             assert abs(pooled.auc[key] - bayes.auc[key]) <= 1e-4
 
-    def test_sufficient_stat_rejected_for_topk(self):
-        with pytest.raises(ValueError):
-            attacks.run_sweep([(1, 4.0)], CoalitionConfig(k=1, n_per_account=10,
-                                                          adversary="topk_hit"),
-                              defaults.POLICY_TEMPLATE, 10, "sufficient_stat", 0)
+    def test_full_sim_topk_statistics_pinned(self):
+        # per-trial hit counts of a small full_sim sweep, as first recorded
+        cfg = CoalitionConfig(k=1, n_per_account=20, adversary="topk_hit")
+        res = attacks.run_sweep([(1, 16.0), (5, 4.0)], cfg, defaults.POLICY_TEMPLATE,
+                                20, "full_sim", 3, keep_stats=True)
+        h = hashlib.sha256()
+        for key in sorted(res.stats):
+            for stats in res.stats[key]:
+                h.update(np.asarray(stats, dtype=np.float64).tobytes())
+        assert h.hexdigest() == (
+            "5055449de1f53cf832afb4ac24d02f179312ed5975b52ff65d1177ee07fa53fa")
 
     def test_too_few_trials(self):
         with pytest.raises(ValueError):
@@ -165,6 +184,67 @@ class TestRunSweep:
         b = attacks.run_sweep([(2, 1.0), (5, 1.0)], cfg, defaults.POLICY_TEMPLATE, 100,
                               "sufficient_stat", 3)
         assert a.auc[(2, 1.0)] == b.auc[(2, 1.0)]
+
+
+def quad_hit_prob(bg, planted, sigma, K):
+    """Reference for attacks._topk_hit_prob: adaptive quadrature over the
+    planted noise of the Poisson-binomial CDF, the pmf built by
+    polynomial convolution."""
+    def integrand(z):
+        pmf = np.array([1.0])
+        for q in ndtr((bg - planted) / sigma - z):
+            pmf = np.convolve(pmf, [1.0 - q, q])
+        return norm.pdf(z) * pmf[:K].sum()
+    return quad(integrand, -np.inf, np.inf, epsabs=1e-14, epsrel=1e-13, limit=400)[0]
+
+
+class TestExactTopk:
+    @pytest.mark.parametrize("sigma", [0.1, 1.0, 28.9, 115.6])
+    @pytest.mark.parametrize("K, n_background", [(1, 3), (3, 3), (1, 50), (5, 50)])
+    def test_hit_prob_matches_quadrature(self, sigma, K, n_background):
+        rng = np.random.default_rng(n_background * 10 + K)
+        bg = attacks._background_scores(rng, (2, n_background), 32)
+        got = attacks._topk_hit_prob(bg, (1.0, 0.0), sigma, K)
+        assert got.shape == (2, 2)
+        for t in range(2):
+            for b, planted in enumerate((1.0, 0.0)):
+                assert got[t, b] == pytest.approx(
+                    quad_hit_prob(bg[t], planted, sigma, K), abs=1e-9)
+
+    def test_hit_prob_matches_monte_carlo(self):
+        # two million simulated queries through the full_sim hit counter
+        rng = np.random.default_rng(5)
+        bg = attacks._background_scores(rng, (10,), 32)
+        cfg = CoalitionConfig(k=1, n_per_account=200_000, adversary="topk_hit", K=3,
+                              n_background=10)
+        hits = sum(attacks._topk_hits(rng, cfg, 1.0, bg, 1.0) for _ in range(10))
+        p = attacks._topk_hit_prob(bg[None, :], (1.0,), 1.0, 3)[0, 0]
+        n = 10 * cfg.n_per_account
+        assert 0.1 < p < 0.9
+        assert abs(hits / n - p) <= 4 * math.sqrt(p * (1 - p) / n)
+
+    def test_counts_are_integers_in_range(self):
+        cfg = CoalitionConfig(k=2, n_per_account=30, adversary="topk_hit")
+        res = attacks.run_sweep([(2, 16.0), (5, 4.0)], cfg, defaults.POLICY_TEMPLATE, 300,
+                                "sufficient_stat", 0, keep_stats=True)
+        for (k, _), stats in res.stats.items():
+            for s in stats:
+                assert np.all(s == np.round(s))
+                assert np.all((0 <= s) & (s <= k * cfg.n_per_account))
+            assert stats[0].mean() > stats[1].mean()
+
+    @pytest.mark.parametrize("block", [1, 7, 40])
+    def test_draws_do_not_depend_on_block_size(self, block, monkeypatch):
+        cfg = CoalitionConfig(k=1, n_per_account=50, adversary="topk_hit")
+
+        def sweep():
+            return attacks.run_sweep([(5, 8.0)], cfg, defaults.POLICY_TEMPLATE, 40,
+                                     "sufficient_stat", 2, keep_stats=True).stats[(5, 8.0)]
+
+        reference = sweep()
+        monkeypatch.setattr(attacks, "_TOPK_BLOCK", block)
+        for a, b in zip(sweep(), reference):
+            assert np.array_equal(a, b)
 
 
 class TestGates:

@@ -1,8 +1,11 @@
 import csv
 import json
 import math
+import platform
 
+import numpy as np
 import pytest
+import scipy
 
 from collusion_audit import cli
 
@@ -101,7 +104,10 @@ class TestReproducibility:
         assert {(int(r["k"]), float(r["eps_acc"])) for r in rows} == {(1, 16.0), (20, 16.0)}
         for r in rows:
             assert 0.0 <= float(r["auc"]) <= 1.0
-            assert r["mode"] == "full_sim"
+            assert r["mode"] == "sufficient_stat"
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert (manifest["python"], manifest["numpy"], manifest["scipy"]) == (
+            platform.python_version(), np.__version__, scipy.__version__)
 
 
 class TestRegenFigure:
