@@ -96,11 +96,8 @@ class PolicyParams:
         delta_policy: float,
         window_id: str = "W0",
         delta_gap: float = 1.0,
-        equal_split: bool = False,
     ) -> "PolicyParams":
-        sigma = calibrate_sigma(
-            eps_acc, delta_acc, n_queries, delta_gap, equal_split=equal_split
-        )
+        sigma = calibrate_sigma(eps_acc, delta_acc, n_queries, delta_gap)
         return cls(
             eps_acc=eps_acc,
             delta_acc=delta_acc,
@@ -153,20 +150,12 @@ class RdpState:
         return self.rho.get(alpha, 0.0)
 
 
-def calibrate_per_query(
-    policy: PolicyParams, equal_split: bool = False
-) -> PerQueryBudget:
+def calibrate_per_query(policy: PolicyParams) -> PerQueryBudget:
     """Per-query (eps_q, delta_q) whose n-fold advanced composition meets
-    the per-account budget.
-
-    ``equal_split`` halves the per-query delta allocation (delta_q =
-    delta_acc / (2n)); numerically negligible at realistic deltas and off
-    by default.
-    """
+    the per-account budget, with delta_q = delta_acc / n."""
     eps_acc, delta_acc, n = policy.eps_acc, policy.delta_acc, policy.n_queries
     eps_q = eps_acc / math.sqrt(2.0 * n * math.log(1.0 / delta_acc))
-    split = 2 * n if equal_split else n
-    return PerQueryBudget(eps_q=eps_q, delta_q=delta_acc / split)
+    return PerQueryBudget(eps_q=eps_q, delta_q=delta_acc / n)
 
 
 def calibrate_sigma(
@@ -174,7 +163,6 @@ def calibrate_sigma(
     delta_acc: float,
     n_queries: int,
     delta_gap: float = 1.0,
-    equal_split: bool = False,
 ) -> float:
     """Gaussian noise scale saturating the per-account budget.
 
@@ -188,8 +176,7 @@ def calibrate_sigma(
     if not 0.0 < delta_gap <= 1.0:
         raise ValueError("delta_gap must lie in (0, 1]")
     n = n_queries
-    split = 2 * n if equal_split else n
-    delta_q = delta_acc / split
+    delta_q = delta_acc / n
     return (
         delta_gap
         * math.sqrt(

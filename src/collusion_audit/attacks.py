@@ -9,7 +9,7 @@ falsification gates over sweep grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtr
@@ -17,14 +17,11 @@ from scipy.stats import rankdata
 
 from . import accounting
 from .encoding import hash_fields
-from .harness import WorldPair, make_world_pair
 
 __all__ = [
     "CoalitionConfig",
-    "TrialOutcome",
     "SweepResult",
     "GateReport",
-    "run_trial",
     "run_sweep",
     "mann_whitney_auc",
     "delong_se",
@@ -81,16 +78,6 @@ class CoalitionConfig:
         return self.k
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    statistic_in: float
-    statistic_out: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.statistic_in) and math.isfinite(self.statistic_out)):
-            raise ValueError("trial statistics must be finite")
-
-
 @dataclass
 class SweepResult:
     grid: list
@@ -124,22 +111,6 @@ def cell_seed(master_seed: int, k: int, eps_acc: float, mode: str, regime: str =
     """
     digest = hash_fields("cell", master_seed, k, float(eps_acc), mode, regime)
     return int.from_bytes(digest[:8], "big")
-
-
-def _check_calibration(policy, config: CoalitionConfig, delta_gap: float) -> None:
-    expected = accounting.calibrate_sigma(
-        policy.eps_acc, policy.delta_acc, config.n_per_account, delta_gap
-    )
-    if policy.n_queries != config.n_per_account or not math.isclose(
-        policy.sigma, expected, rel_tol=1e-9
-    ):
-        raise ValueError("policy sigma not calibrated for this configuration")
-
-
-def _world_means(world: WorldPair) -> tuple[float, float]:
-    mu0 = float(np.dot(world.probe, world.target))
-    mu1 = float(np.dot(world.probe, world.decoy))
-    return mu0, mu1
 
 
 def _bayes_llr(pooled_mean, m_draws: int, mu0: float, mu1: float, sigma: float):
@@ -188,42 +159,12 @@ def _topk_hit_prob(bg, planted, sigma: float, K: int):
     return np.clip(pmf.sum(axis=0) @ _Z_WEIGHTS, 0.0, 1.0)
 
 
-def run_trial(world: WorldPair, config: CoalitionConfig, policy, seed) -> TrialOutcome:
-    """One paired-worlds Monte Carlo trial; returns the adversary's test
-    statistic under world b=0 (member) and b=1 (non-member)."""
-    _check_calibration(policy, config, world.delta_gap)
-    rng = np.random.default_rng(seed)
-    mu0, mu1 = _world_means(world)
-    sigma = policy.sigma
-    kn = config.k * config.n_per_account
-
-    if config.adversary == "pooled_mean":
-        s_in = rng.normal(mu0, sigma, kn).mean()
-        s_out = rng.normal(mu1, sigma, kn).mean()
-    elif config.adversary == "bayes_lr":
-        s_in = _bayes_llr(rng.normal(mu0, sigma, kn).mean(), kn, mu0, mu1, sigma)
-        s_out = _bayes_llr(rng.normal(mu1, sigma, kn).mean(), kn, mu0, mu1, sigma)
-    elif config.adversary == "diversified":
-        # ceil(rho*k) accounts probe q*; the rest spend their budget on
-        # orthogonal directions whose draws carry no signal and are not
-        # pooled into the statistic
-        mn = config.n_target_accounts * config.n_per_account
-        s_in = rng.normal(mu0, sigma, mn).mean()
-        s_out = rng.normal(mu1, sigma, mn).mean()
-    elif config.adversary == "topk_hit":
-        bg = world.base.embeddings @ world.probe
-        s_in = _topk_hits(rng, config, mu0, bg, sigma)
-        s_out = _topk_hits(rng, config, mu1, bg, sigma)
-    else:  # pragma: no cover
-        raise ValueError(config.adversary)
-    return TrialOutcome(float(s_in), float(s_out))
-
-
 def _simulate_scalar_cell(rng, config, sigma: float, trials: int, mode: str):
     """Vectorized paired-trial statistics for the scalar adversaries at
     delta_gap = 1 (mu0 = 1, mu1 = 0)."""
-    kn = config.k * config.n_per_account
-    m = config.n_target_accounts * config.n_per_account if config.adversary == "diversified" else kn
+    # a diversified coalition pools only its ceil(rho*k) accounts that probe
+    # q*; the rest spend their budget on directions that carry no signal
+    m = config.n_target_accounts * config.n_per_account
     if mode == "sufficient_stat":
         s_in = rng.normal(1.0, sigma / math.sqrt(m), trials)
         s_out = rng.normal(0.0, sigma / math.sqrt(m), trials)
@@ -300,11 +241,7 @@ def run_sweep(
         adversary=config.adversary,
     )
     for k, eps in grid:
-        cfg = CoalitionConfig(
-            k=k, n_per_account=config.n_per_account, regime=config.regime,
-            adversary=config.adversary, rho=config.rho, K=config.K,
-            n_background=config.n_background, d=config.d,
-        )
+        cfg = replace(config, k=k)
         sigma = accounting.calibrate_sigma(eps, delta_acc, cfg.n_per_account, 1.0)
         rng = np.random.default_rng(cell_seed(master_seed, k, eps, mode, cfg.regime))
         if config.adversary == "topk_hit":
@@ -352,7 +289,7 @@ def delong_se(in_stats, out_stats) -> float:
     return float(math.sqrt(s10 / m + s01 / n))
 
 
-def check_gates(sweep: SweepResult, policy_template: dict | None = None) -> GateReport:
+def check_gates(sweep: SweepResult) -> GateReport:
     """Falsification gates over a sweep.
 
     P1: positive advantage-vs-sqrt(k) slope (t > 2) on the highest-eps row.
@@ -360,11 +297,10 @@ def check_gates(sweep: SweepResult, policy_template: dict | None = None) -> Gate
     standard errors, counted against the binomial 95% expectation.
     P2 (scaling collapse) is reported as a diagnostic RMS only.
     """
-    ks = sorted({k for k, _ in sweep.grid})
-    if len(ks) < 3:
-        raise ValueError("gates need a sweep over >= 3 values of k")
     eps_max = max(e for _, e in sweep.grid)
-    row = [(k, sweep.auc[(k, eps_max)]) for k in ks if (k, eps_max) in sweep.auc]
+    row = sorted((k, auc) for (k, e), auc in sweep.auc.items() if e == eps_max)
+    if len(row) < 3:
+        raise ValueError("gates need >= 3 values of k on the highest-eps row")
     xs = np.sqrt([k for k, _ in row])
     adv = np.array([2.0 * (a - 0.5) for _, a in row])
     # OLS slope with intercept, t-stat from residual variance
@@ -408,10 +344,10 @@ def check_gates(sweep: SweepResult, policy_template: dict | None = None) -> Gate
 
 def external_vs_same(grid, policy_template: dict, T: int, master_seed: int = 0,
                      config: CoalitionConfig | None = None) -> list:
-    """Compare the same-tenant coalition against k external attacker
-    accounts with fresh per-account budgets (access-control-failure
-    regime); the two arms differ only in account bookkeeping, so any AUC
-    gap is sampling noise.
+    """Run the ``full_sim`` sweep once per regime at k = 1. The regime
+    enters only ``cell_seed``, so the two arms are two draws from one law
+    and any AUC gap is sampling noise: a null check of the sweep, not a
+    model of external attackers.
 
     Returns one row per cell:
     (k, eps, auc_same, se_same, auc_ext, se_ext, delta_auc, combined_se).
@@ -419,12 +355,8 @@ def external_vs_same(grid, policy_template: dict, T: int, master_seed: int = 0,
     base = config or CoalitionConfig(k=1, n_per_account=200, adversary="topk_hit")
     rows = []
     for regime in ("same_tenant", "external_m4"):
-        cfg = CoalitionConfig(
-            k=1, n_per_account=base.n_per_account, regime=regime,
-            adversary=base.adversary, rho=base.rho, K=base.K,
-            n_background=base.n_background, d=base.d,
-        )
-        res = run_sweep(grid, cfg, policy_template, T, "full_sim", master_seed)
+        res = run_sweep(grid, replace(base, k=1, regime=regime), policy_template, T,
+                        "full_sim", master_seed)
         if regime == "same_tenant":
             same = res
         else:

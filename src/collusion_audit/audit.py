@@ -173,8 +173,7 @@ def attest_query(service: AuditService, query: np.ndarray, account_id: str,
     q_digest = query_vector_digest(query)
     core = record_core_digest(account_id, tenant_id, q_digest, ts)
     sigma = service.policy.sigma
-    out = topk_retrieve(index, query, K, sigma,
-                        NoiseSeedRecord(service.window_seed, core, sigma))
+    out = topk_retrieve(index, query, K, NoiseSeedRecord(service.window_seed, core, sigma))
     blob = AttestationBlob(
         embedder_digest=service.embedder_digest,
         window_seed=service.window_seed,
@@ -283,7 +282,7 @@ def verify_record(record: QueryRecord, commitments: CommitmentBundle,
                                   record.query_digest, record.timestamp)
         opened_index = TenantIndex(record.tenant_id, opened)
         noise_rec = NoiseSeedRecord(blob.window_seed, core, policy.sigma)
-        redo = topk_retrieve(opened_index, query, K, policy.sigma, noise_rec)
+        redo = topk_retrieve(opened_index, query, K, noise_rec)
         digest = topk_output_digest(redo.topk_positions, redo.topk_doc_ids)
         result["noise_then_select"] = (
             "ok" if digest == record.topk_digest
@@ -420,7 +419,7 @@ class ZkCostEstimate:
     sumcheck_field_ops: int  # O(d log N) verifier-side field operations
 
 
-def zk_cost(mode: str, N: int, d: int = 384, K: int = 5) -> ZkCostEstimate:
+def zk_cost(mode: str, N: int, d: int = 384) -> ZkCostEstimate:
     """Groth16-style cost extrapolation: constraints = base + per_doc * N
     (least-squares fit to the reference table), proving at ~1 us per
     constraint, trusted setup at half the proving time, verification a

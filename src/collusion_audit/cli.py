@@ -25,7 +25,14 @@ from .encoding import hash_fields
 from .estimator import EstimatorParams
 from .harness import TenantIndex, random_unit_vectors
 
-FIGURES = ("fig1a", "fig1b", "fig3a", "fig3b", "figA1")
+# figure -> the results columns it reads
+FIGURES = {
+    "fig1a": {"k", "eps_acc", "auc", "delong_se", "predicted_auc"},
+    "fig1b": {"k", "eps_acc", "auc", "delong_se", "mode"},
+    "fig3a": {"theta", "null_fpr"},
+    "fig3b": {"theta", "pattern", "k_true", "mean_khat"},
+    "figA1": {"k", "eps_acc", "delta_auc", "combined_se"},
+}
 
 _COMMON_KEYS = {"experiment", "out", "seed", "profile"}
 
@@ -279,14 +286,18 @@ def regen_figure_data(results_csv: str, figure: str, out_path: str) -> str:
     """Turn an experiment CSV into a plot-ready (x, y, y_err, series) CSV."""
     if figure not in FIGURES:
         raise ConfigError(f"unknown figure {figure!r}")
-    with open(results_csv, newline="") as fh:
-        reader = list(csv.DictReader(fh))
+    try:
+        with open(results_csv, newline="") as fh:
+            reader = csv.DictReader(fh)
+            missing = FIGURES[figure] - set(reader.fieldnames or ())
+            records = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"{results_csv}: {exc}")
+    if missing:
+        raise ConfigError(f"{results_csv}: missing columns {sorted(missing)} for {figure}")
     rows = []
     if figure in ("fig1a", "fig1b"):
-        required = {"k", "eps_acc", "auc", "delong_se", "predicted_auc"}
-        if reader and required - set(reader[0]):
-            raise ConfigError(f"missing columns {sorted(required - set(reader[0]))}")
-        for r in reader:
+        for r in records:
             k, e = int(r["k"]), float(r["eps_acc"])
             auc, se = float(r["auc"]), float(r["delong_se"])
             if figure == "fig1a":
@@ -296,16 +307,16 @@ def regen_figure_data(results_csv: str, figure: str, out_path: str) -> str:
             else:
                 rows.append([math.sqrt(k) * e, 2 * (auc - 0.5), 2 * se, r["mode"]])
     elif figure == "fig3a":
-        for r in reader:
+        for r in records:
             if r["null_fpr"] != "":
                 rows.append([float(r["theta"]), float(r["null_fpr"]), 0.0, "null_fpr"])
     elif figure == "fig3b":
-        for r in reader:
+        for r in records:
             if r["pattern"]:
                 rows.append([float(r["theta"]), float(r["mean_khat"]), 0.0,
                              f"{r['pattern']}-k{r['k_true']}"])
     elif figure == "figA1":
-        for r in reader:
+        for r in records:
             rows.append([int(r["k"]), float(r["delta_auc"]),
                          2 * float(r["combined_se"]), f"eps{float(r['eps_acc']):g}"])
     _write_csv(out_path, ["x", "y", "y_err", "series"], rows)

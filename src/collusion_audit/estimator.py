@@ -49,13 +49,10 @@ _COS_TOL = 1e-12
 class EstimatorParams:
     theta: float
     window_tau: int | None = None  # pairwise logical-time gap, None = whole window
-    min_cluster_accounts: int = 2
 
     def __post_init__(self):
         if not -1.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [-1, 1]")
-        if self.min_cluster_accounts < 2:
-            raise ValueError("min_cluster_accounts must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -111,9 +108,7 @@ def estimate(queries, params: EstimatorParams) -> CoalitionEstimate:
             ts = np.asarray(times, dtype=np.int64)
             adj &= np.abs(ts[:, None] - ts[None, :]) <= params.window_tau
         np.fill_diagonal(adj, False)
-        counts = _component_account_counts(accounts, adj)
-        multi = [c for c in counts if c >= params.min_cluster_accounts]
-        largest = max([largest, *multi])
+        largest = max(largest, *_component_account_counts(accounts, adj))
     return CoalitionEstimate(largest)
 
 

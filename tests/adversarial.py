@@ -46,8 +46,7 @@ def attest_query(service, query, account_id, tenant_id, misbehavior=None, K=5):
     q_digest = audit.query_vector_digest(query)
     core = record_core_digest(account_id, tenant_id, q_digest, ts)
     index = service.indices[tenant_id]
-    out = topk_retrieve(index, query, K, served,
-                        NoiseSeedRecord(service.window_seed, core, served))
+    out = topk_retrieve(index, query, K, NoiseSeedRecord(service.window_seed, core, served))
     blob = audit.AttestationBlob(
         embedder_digest=service.embedder_digest, window_seed=service.window_seed,
         sigma=claimed, core_digest=core, query_vector=np.asarray(query, dtype=np.float64),

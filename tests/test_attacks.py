@@ -11,7 +11,6 @@ from scipy.stats import ks_2samp, norm
 
 from collusion_audit import accounting, attacks, defaults
 from collusion_audit.attacks import CoalitionConfig, SweepResult
-from collusion_audit.harness import make_world_pair
 
 
 def calibrated_policy(eps, n):
@@ -90,32 +89,7 @@ class TestDelongSe:
         assert abs(se - bse) / bse <= 0.15
 
 
-class TestRunTrial:
-    def test_near_noiseless_separation(self):
-        # very large eps => tiny sigma: statistics separate cleanly
-        n = 10
-        w = make_world_pair(8, 1.0, 0, seed=0)
-        cfg = CoalitionConfig(k=2, n_per_account=n)
-        policy = calibrated_policy(1e6, n)
-        out = attacks.run_trial(w, cfg, policy, seed=0)
-        assert out.statistic_in == pytest.approx(1.0, abs=1e-3)
-        assert out.statistic_out == pytest.approx(0.0, abs=1e-3)
-
-    def test_calibration_mismatch_rejected(self):
-        w = make_world_pair(8, 1.0, 0, seed=0)
-        cfg = CoalitionConfig(k=2, n_per_account=10)
-        policy = calibrated_policy(1.0, 99)  # calibrated for the wrong n
-        with pytest.raises(ValueError):
-            attacks.run_trial(w, cfg, policy, seed=0)
-
-    def test_topk_trial_statistics_are_counts(self):
-        n = 20
-        w = make_world_pair(32, 1.0, 50, seed=1)
-        cfg = CoalitionConfig(k=2, n_per_account=n, adversary="topk_hit")
-        out = attacks.run_trial(w, cfg, calibrated_policy(16.0, n), seed=3)
-        assert 0 <= out.statistic_in <= 2 * n
-        assert 0 <= out.statistic_out <= 2 * n
-
+class TestCoalitionConfig:
     @pytest.mark.parametrize("K, n_background", [(0, 50), (-1, 50), (51, 50), (1, 0)])
     def test_topk_K_outside_background_rejected(self, K, n_background):
         with pytest.raises(ValueError, match="1 <= K <= n_background"):
@@ -264,6 +238,15 @@ class TestGates:
     def test_needs_three_k(self):
         with pytest.raises(ValueError):
             attacks.check_gates(self._synthetic({(1, 4.0): 0.5, (2, 4.0): 0.5}))
+
+    def test_needs_three_k_on_the_highest_eps_row(self):
+        # three values of k over the grid, but P1 fits only the eps=4 row:
+        # a line through its two noise points has no residual and so an
+        # unbounded t-stat
+        aucs = {(1, 1.0): 0.5, (2, 1.0): 0.5, (5, 1.0): 0.5,
+                (1, 4.0): 0.500, (2, 4.0): 0.501}
+        with pytest.raises(ValueError, match="highest-eps row"):
+            attacks.check_gates(self._synthetic(aucs))
 
     def test_synthetic_null_passes_p3(self):
         # sweep drawn from the closed form plus N(0, se^2) jitter

@@ -190,8 +190,7 @@ class TestAdversarialProvider:
         def topk_digest(rec, sigma):
             blob = rec.attestation
             noise = NoiseSeedRecord(service.window_seed, blob.core_digest, sigma)
-            out = topk_retrieve(service.indices[rec.tenant_id], blob.query_vector, 5,
-                                sigma, noise)
+            out = topk_retrieve(service.indices[rec.tenant_id], blob.query_vector, 5, noise)
             return audit.topk_output_digest(out.topk_positions, out.topk_doc_ids)
 
         records = service.ledger.records

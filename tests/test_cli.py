@@ -172,3 +172,32 @@ class TestRegenFigure:
         src.write_text("k,eps_acc\n1,1.0\n")
         assert run_cli(["regen-figure", "--results", str(src),
                         "--figure", "fig1a", "--out", str(tmp_path / "o.csv")]) == 2
+
+    # per figure, a results file it cannot read: another experiment's CSV,
+    # or for fig1b a sweep CSV without its mode column
+    SWEEP = ("k,eps_acc,mode,adversary,auc,delong_se,trials,predicted_auc\n"
+             "1,1,sufficient_stat,pooled_mean,0.6,0.01,100,0.6\n")
+    MISMATCHED = {
+        "fig1a": "theta,null_fpr,pattern,k_true,mean_khat,tpr\n0.5,0.1,,,,\n",
+        "fig1b": "k,eps_acc,adversary,auc,delong_se,trials,predicted_auc\n"
+                 "1,1,pooled_mean,0.6,0.01,100,0.6\n",
+        "fig3a": SWEEP,
+        "fig3b": SWEEP,
+        "figA1": SWEEP,
+    }
+
+    @pytest.mark.parametrize("figure", sorted(MISMATCHED))
+    def test_mismatched_results_exit_two(self, tmp_path, capsys, figure):
+        src = tmp_path / "results.csv"
+        src.write_text(self.MISMATCHED[figure])
+        dst = tmp_path / "o.csv"
+        assert run_cli(["regen-figure", "--results", str(src),
+                        "--figure", figure, "--out", str(dst)]) == 2
+        assert "missing columns" in capsys.readouterr().err
+        assert not dst.exists()
+
+    def test_missing_results_file_exit_two(self, tmp_path):
+        dst = tmp_path / "o.csv"
+        assert run_cli(["regen-figure", "--results", str(tmp_path / "absent.csv"),
+                        "--figure", "fig3a", "--out", str(dst)]) == 2
+        assert not dst.exists()

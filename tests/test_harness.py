@@ -11,33 +11,12 @@ def noise_record(sigma=1.0, seed_byte=0, digest_byte=1):
     return hs.NoiseSeedRecord(bytes([seed_byte]) * 32, bytes([digest_byte]) * 32, sigma)
 
 
-class TestWorldPair:
-    def test_unit_gap_construction(self):
-        w = hs.make_world_pair(32, 1.0, 50, seed=0)
-        assert np.dot(w.probe, w.target) == pytest.approx(1.0, abs=1e-9)
-        assert np.dot(w.probe, w.decoy) == pytest.approx(0.0, abs=1e-9)
-        assert len(w.base) == 50
-
-    @pytest.mark.parametrize("gap", [0.1, 0.41, 0.5])
-    def test_realized_gap(self, gap):
-        w = hs.make_world_pair(16, gap, 10, seed=3)
-        assert abs(hs.score_gap(w) - gap) <= 1e-9
-        assert abs(w.delta_gap - gap) <= 1e-9
-
-    def test_zero_gap_rejected(self):
-        with pytest.raises(ValueError):
-            hs.make_world_pair(8, 0.0, 10, seed=0)
-        with pytest.raises(ValueError):
-            hs.make_world_pair(8, 1.1, 10, seed=0)
-        with pytest.raises(ValueError):
-            hs.make_world_pair(1, 0.5, 10, seed=0)
-
-    def test_world_indices_differ_in_one_slot(self):
-        w = hs.make_world_pair(8, 1.0, 5, seed=1)
-        i0, i1 = w.world_index(0), w.world_index(1)
-        assert len(i0) == len(i1) == 6
-        assert np.array_equal(i0.embeddings[:5], i1.embeddings[:5])
-        assert not np.array_equal(i0.embeddings[5], i1.embeddings[5])
+def reference_noise(seed, digest, i, sigma):
+    # the draw written out once per coordinate, hashing the full preimage
+    h = hashlib.sha256(seed + digest + i.to_bytes(8, "big") + bytes(8)).digest()
+    u1 = (int.from_bytes(h[:8], "big") + 0.5) / 2.0**64
+    u2 = (int.from_bytes(h[8:16], "big") + 0.5) / 2.0**64
+    return sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
 class TestTenantIndex:
@@ -52,13 +31,14 @@ class TestTenantIndex:
 
 class TestDeriveNoise:
     def test_deterministic(self):
-        a = hs.derive_noise(b"\x01" * 32, b"\x02" * 32, 5, 2.0)
-        b = hs.derive_noise(b"\x01" * 32, b"\x02" * 32, 5, 2.0)
-        assert a == b
+        a = hs.derive_noise_block(b"\x01" * 32, b"\x02" * 32, 6, 2.0)
+        b = hs.derive_noise_block(b"\x01" * 32, b"\x02" * 32, 6, 2.0)
+        assert a.tolist() == b.tolist()
 
     def test_known_value_is_stable(self):
         # frozen regression value: bit-exact across platforms/runs
-        assert hs.derive_noise(b"\x00" * 32, b"\x00" * 32, 0, 1.0) == 0.22924439962715076
+        block = hs.derive_noise_block(b"\x00" * 32, b"\x00" * 32, 1, 1.0)
+        assert block[0] == 0.22924439962715076
 
     def test_known_block_is_stable(self):
         block = hs.derive_noise_block(b"\x01" * 32, b"\x02" * 32, 4096, 1.0)
@@ -71,28 +51,19 @@ class TestDeriveNoise:
     def test_block_equals_scalar_draws(self, sigma):
         seed, digest = b"\x03" * 32, b"\x04" * 32
         block = hs.derive_noise_block(seed, digest, 300, sigma)
-        assert block.tolist() == [hs.derive_noise(seed, digest, i, sigma) for i in range(300)]
+        assert block.tolist() == [reference_noise(seed, digest, i, sigma) for i in range(300)]
 
     def test_matches_reference_formula(self):
-        # the draw written out once per coordinate, hashing the full preimage
-        def reference(seed, digest, i, sigma):
-            h = hashlib.sha256(seed + digest + i.to_bytes(8, "big") + bytes(8)).digest()
-            u1 = (int.from_bytes(h[:8], "big") + 0.5) / 2.0**64
-            u2 = (int.from_bytes(h[8:16], "big") + 0.5) / 2.0**64
-            return sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
         rng = np.random.default_rng(11)
         for _ in range(50):
             seed, digest = rng.bytes(32), rng.bytes(32)
             sigma = float(rng.uniform(0.0, 8.0))
             block = hs.derive_noise_block(seed, digest, 40, sigma)
-            assert block.tolist() == [reference(seed, digest, i, sigma) for i in range(40)]
-            i = int(rng.integers(0, 2**63))
-            assert hs.derive_noise(seed, digest, i, sigma) == reference(seed, digest, i, sigma)
+            assert block.tolist() == [reference_noise(seed, digest, i, sigma) for i in range(40)]
 
     def test_scales_linearly_in_sigma(self):
-        v1 = hs.derive_noise(b"\x01" * 32, b"\x02" * 32, 0, 1.0)
-        v3 = hs.derive_noise(b"\x01" * 32, b"\x02" * 32, 0, 3.0)
+        v1 = hs.derive_noise_block(b"\x01" * 32, b"\x02" * 32, 1, 1.0)[0]
+        v3 = hs.derive_noise_block(b"\x01" * 32, b"\x02" * 32, 1, 3.0)[0]
         assert v3 == pytest.approx(3 * v1, rel=1e-12)
 
     def test_moments_and_independence(self):
@@ -114,51 +85,27 @@ class TestDeriveNoise:
         assert len(np.unique(draws)) == n
 
 
-class TestScalarMechanism:
-    def test_determinism(self):
-        w = hs.make_world_pair(8, 1.0, 0, seed=2)
-        rec = noise_record(sigma=5.0)
-        assert hs.scalar_mechanism(w, 0, rec) == hs.scalar_mechanism(w, 0, rec)
-
-    def test_noiseless_separation(self):
-        w = hs.make_world_pair(8, 1.0, 0, seed=2)
-        rec = noise_record(sigma=0.0)
-        assert hs.scalar_mechanism(w, 0, rec) == pytest.approx(1.0, abs=1e-9)
-        assert hs.scalar_mechanism(w, 1, rec) == pytest.approx(0.0, abs=1e-9)
-
-    def test_empirical_mean(self):
-        w = hs.make_world_pair(8, 1.0, 0, seed=2)
-        sigma = 2.0
-        n = 100_000
-        vals = np.array([
-            hs.scalar_mechanism(w, 0, hs.NoiseSeedRecord(
-                b"\x07" * 32, i.to_bytes(32, "big"), sigma))
-            for i in range(n)
-        ])
-        assert abs(vals.mean() - 1.0) <= 4 * sigma / math.sqrt(n)
-
-
 class TestTopkRetrieve:
     def test_exact_match_wins_noiseless(self):
         idx = hs.TenantIndex("t", np.eye(6))
-        out = hs.topk_retrieve(idx, np.eye(6)[3], 1, 0.0, noise_record())
+        out = hs.topk_retrieve(idx, np.eye(6)[3], 1, noise_record(0.0))
         assert out.topk_positions == (3,)
 
     def test_full_k_is_permutation(self):
         idx = hs.TenantIndex("t", np.eye(5))
-        out = hs.topk_retrieve(idx, np.eye(5)[0], 5, 3.0, noise_record())
+        out = hs.topk_retrieve(idx, np.eye(5)[0], 5, noise_record(3.0))
         assert sorted(out.topk_positions) == [0, 1, 2, 3, 4]
 
     def test_k_too_large(self):
         idx = hs.TenantIndex("t", np.eye(4))
         with pytest.raises(ValueError):
-            hs.topk_retrieve(idx, np.eye(4)[0], 5, 1.0, noise_record())
+            hs.topk_retrieve(idx, np.eye(4)[0], 5, noise_record(1.0))
 
     def test_tie_break_lowest_index(self):
         # two identical embeddings, no noise: lower position ranks first
         emb = np.vstack([np.eye(3)[0], np.eye(3)[0], np.eye(3)[1]])
         idx = hs.TenantIndex("t", emb)
-        out = hs.topk_retrieve(idx, np.eye(3)[0], 2, 0.0, noise_record())
+        out = hs.topk_retrieve(idx, np.eye(3)[0], 2, noise_record(0.0))
         assert out.topk_positions == (0, 1)
 
     def test_tenant_isolation(self):
@@ -168,9 +115,9 @@ class TestTopkRetrieve:
         idx = hs.TenantIndex("t", hs.random_unit_vectors(rng, 8, 4))
         other = hs.TenantIndex("u", hs.random_unit_vectors(rng, 8, 4))
         q = hs.random_unit_vectors(rng, 1, 4)[0]
-        before = hs.topk_retrieve(idx, q, 3, 1.0, noise_record())
+        before = hs.topk_retrieve(idx, q, 3, noise_record(1.0))
         other.embeddings[:] = 0.0  # canary mutation outside the index
-        after = hs.topk_retrieve(idx, q, 3, 1.0, noise_record())
+        after = hs.topk_retrieve(idx, q, 3, noise_record(1.0))
         assert before.topk_positions == after.topk_positions
         assert all(p < len(idx) for p in before.topk_positions)
 
@@ -178,8 +125,8 @@ class TestTopkRetrieve:
         rng = np.random.default_rng(1)
         idx = hs.TenantIndex("t", hs.random_unit_vectors(rng, 10, 6))
         q = hs.random_unit_vectors(rng, 1, 6)[0]
-        a = hs.topk_retrieve(idx, q, 4, 2.0, noise_record())
-        b = hs.topk_retrieve(idx, q, 4, 2.0, noise_record())
+        a = hs.topk_retrieve(idx, q, 4, noise_record(2.0))
+        b = hs.topk_retrieve(idx, q, 4, noise_record(2.0))
         assert a.topk_positions == b.topk_positions
 
 
