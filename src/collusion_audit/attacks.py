@@ -98,7 +98,6 @@ class GateReport:
     p3_pass_count: int
     p3_total: int
     p3_max_dev_se: float
-    p3_expected_passes: float
     p2_collapse_rms: float  # diagnostic only, never gates the report
     growth_factor: float
 
@@ -336,7 +335,6 @@ def check_gates(sweep: SweepResult) -> GateReport:
         p3_pass_count=p3_pass,
         p3_total=p3_total,
         p3_max_dev_se=max(devs) if devs else 0.0,
-        p3_expected_passes=0.954 * p3_total,
         p2_collapse_rms=p2_rms,
         growth_factor=growth,
     )

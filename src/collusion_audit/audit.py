@@ -19,18 +19,14 @@ import numpy as np
 
 from . import accounting, estimator as est_mod, ledger as ledger_mod
 from .encoding import hash_fields, sha256
-from .harness import (
-    NoiseSeedRecord,
-    TenantIndex,
-    embedding_digest,
-    topk_retrieve,
-)
+from .harness import NoiseSeedRecord, embedding_digest, is_unit_norm, topk_retrieve
 from .ledger import (
     CommitmentBundle,
     MerkleLedger,
     QueryRecord,
     Receipt,
     commit_phase_a,
+    index_root,
     issue_receipt,
     prove_extension,
     record_core_digest,
@@ -49,8 +45,7 @@ __all__ = [
     "sample_plan",
     "run_audit",
     "zk_cost",
-    "query_vector_digest",
-    "topk_output_digest",
+    "noise_then_select",
     "CLAIMS",
 ]
 
@@ -62,31 +57,29 @@ CLAIMS = (
 )
 
 
-def query_vector_digest(query: np.ndarray) -> bytes:
-    return sha256(np.asarray(query, dtype=">f8").tobytes())
-
-
-def topk_output_digest(positions, doc_ids) -> bytes:
-    fields = ["topk"]
-    for p in positions:
-        fields.append(int(p))
-    fields.extend(doc_ids)
-    return hash_fields(*fields)
+def noise_then_select(embeddings: np.ndarray, tenant_id: str, query: np.ndarray,
+                      K: int, noise: NoiseSeedRecord) -> bytes:
+    """The relation the provider serves and the verifier re-executes: noise
+    every score of the tenant's index as ``noise`` binds it, select the top
+    K, and digest the result as H("topk", positions..., names...), the
+    document at position p being named ``f"{tenant_id}/doc{p}"``."""
+    positions = topk_retrieve(embeddings, query, K, noise)
+    return hash_fields("topk", *positions, *(f"{tenant_id}/doc{p}" for p in positions))
 
 
 @dataclass(frozen=True)
 class AttestationBlob:
     """Witness for the four per-query claims (verifier-only surface).
 
-    The noise itself is not part of the witness: the verifier checks the
-    seed, sigma and policy against the commitments and then re-derives the
-    noise once, inside the noise-then-select re-execution.
+    Neither the noise nor the record core it binds to is part of the
+    witness: the verifier recomputes the core from the ledger record,
+    checks the seed, sigma and policy against the commitments, and then
+    re-derives the noise once, inside the noise-then-select re-execution.
     """
 
     embedder_digest: bytes = b""
     window_seed: bytes = b""
     sigma: float = 0.0
-    core_digest: bytes = b""
     query_vector: np.ndarray | None = None
     opened_embeddings: np.ndarray | None = None  # full index, in order
     opened_tenant_id: str = ""
@@ -168,24 +161,22 @@ def attest_query(service: AuditService, query: np.ndarray, account_id: str,
                  tenant_id: str, K: int = 5) -> tuple[QueryRecord, Receipt]:
     """Serve one query: retrieve with committed-seed noise, append the
     attested record, and issue a signed receipt."""
-    index = service.indices[tenant_id]
+    embeddings = service.indices[tenant_id].embeddings
     ts = service.next_timestamp()
-    q_digest = query_vector_digest(query)
+    q_digest = embedding_digest(query)
     core = record_core_digest(account_id, tenant_id, q_digest, ts)
-    sigma = service.policy.sigma
-    out = topk_retrieve(index, query, K, NoiseSeedRecord(service.window_seed, core, sigma))
+    noise = NoiseSeedRecord(service.window_seed, core, service.policy.sigma)
     blob = AttestationBlob(
         embedder_digest=service.embedder_digest,
         window_seed=service.window_seed,
-        sigma=sigma,
-        core_digest=core,
+        sigma=noise.sigma,
         query_vector=np.asarray(query, dtype=np.float64),
-        opened_embeddings=index.embeddings,
+        opened_embeddings=embeddings,
         opened_tenant_id=tenant_id,
     )
     record = QueryRecord(
         account_id=account_id, tenant_id=tenant_id, query_digest=q_digest,
-        topk_digest=topk_output_digest(out.topk_positions, out.topk_doc_ids),
+        topk_digest=noise_then_select(embeddings, tenant_id, query, K, noise),
         timestamp=ts, attestation=blob,
     )
     root, pos = service.ledger.append(record)
@@ -203,15 +194,13 @@ def _same(witness, expected) -> bool:
 
 
 def _index_root(opened: np.ndarray, memo: dict) -> bytes:
-    """Vector-commitment root over opened embeddings, built once per
-    distinct (shape, buffer): the same bytes at another shape are other
-    leaves, so the shape is part of the key."""
+    """``index_root`` of the opened embeddings, built once per distinct
+    (shape, buffer): the same bytes at another shape are other leaves, so
+    the shape is part of the key."""
     key = (opened.shape, sha256(np.asarray(opened, dtype=">f8").tobytes()))
     root = memo.get(key)
     if root is None:
-        root = memo[key] = ledger_mod.merkle_root(
-            [ledger_mod._leaf_hash(embedding_digest(v)) for v in opened]
-        )
+        root = memo[key] = index_root(opened)
     return root
 
 
@@ -277,13 +266,15 @@ def verify_record(record: QueryRecord, commitments: CommitmentBundle,
         result["noise_then_select"] = (
             f"K={K} exceeds the opened index of {len(opened)} documents"
         )
+    elif not is_unit_norm(opened):
+        # sigma is calibrated to unit-norm documents: a scaled index widens
+        # the score gap the noise has to hide
+        result["noise_then_select"] = "opened embeddings are not unit-norm"
     else:
         core = record_core_digest(record.account_id, record.tenant_id,
                                   record.query_digest, record.timestamp)
-        opened_index = TenantIndex(record.tenant_id, opened)
-        noise_rec = NoiseSeedRecord(blob.window_seed, core, policy.sigma)
-        redo = topk_retrieve(opened_index, query, K, noise_rec)
-        digest = topk_output_digest(redo.topk_positions, redo.topk_doc_ids)
+        noise = NoiseSeedRecord(blob.window_seed, core, policy.sigma)
+        digest = noise_then_select(opened, record.tenant_id, query, K, noise)
         result["noise_then_select"] = (
             "ok" if digest == record.topk_digest
             else "re-executed noise-then-select top-K differs from ledger digest"
@@ -368,7 +359,7 @@ def run_audit(ledger: MerkleLedger, commitments: CommitmentBundle, policy,
         if not _real_array(query, 1):
             return _fail(verdict, "embedder_consistency",
                          f"record {pos}: no query vector witness")
-        if query_vector_digest(query) != rec.query_digest:
+        if embedding_digest(query) != rec.query_digest:
             return _fail(verdict, "embedder_consistency",
                          f"record {pos}: witness query vector does not match "
                          "the ledger query digest")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -282,6 +283,18 @@ def run(config: dict) -> tuple[list, int]:
     return paths, exit_code
 
 
+def _cell(path: str, row_no: int, row: dict, column: str, convert=float):
+    """``convert(row[column])``, or a ConfigError naming the data row and
+    the column."""
+    try:
+        return convert(row[column])
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"{path}: data row {row_no}, column {column!r}: cannot read "
+            f"{row[column]!r} as {'an integer' if convert is int else 'a number'}"
+        ) from None
+
+
 def regen_figure_data(results_csv: str, figure: str, out_path: str) -> str:
     """Turn an experiment CSV into a plot-ready (x, y, y_err, series) CSV."""
     if figure not in FIGURES:
@@ -296,29 +309,27 @@ def regen_figure_data(results_csv: str, figure: str, out_path: str) -> str:
     if missing:
         raise ConfigError(f"{results_csv}: missing columns {sorted(missing)} for {figure}")
     rows = []
-    if figure in ("fig1a", "fig1b"):
-        for r in records:
-            k, e = int(r["k"]), float(r["eps_acc"])
-            auc, se = float(r["auc"]), float(r["delong_se"])
+    for n, r in enumerate(records, 1):
+        num = functools.partial(_cell, results_csv, n, r)
+        if figure in ("fig1a", "fig1b"):
+            k, e = num("k", int), num("eps_acc")
+            auc, se = num("auc"), num("delong_se")
             if figure == "fig1a":
                 rows.append([k, auc, se, f"eps{e:g}"])
                 if r["predicted_auc"] not in ("", "nan"):
-                    rows.append([k, float(r["predicted_auc"]), 0.0, f"pred-eps{e:g}"])
+                    rows.append([k, num("predicted_auc"), 0.0, f"pred-eps{e:g}"])
             else:
                 rows.append([math.sqrt(k) * e, 2 * (auc - 0.5), 2 * se, r["mode"]])
-    elif figure == "fig3a":
-        for r in records:
+        elif figure == "fig3a":
             if r["null_fpr"] != "":
-                rows.append([float(r["theta"]), float(r["null_fpr"]), 0.0, "null_fpr"])
-    elif figure == "fig3b":
-        for r in records:
+                rows.append([num("theta"), num("null_fpr"), 0.0, "null_fpr"])
+        elif figure == "fig3b":
             if r["pattern"]:
-                rows.append([float(r["theta"]), float(r["mean_khat"]), 0.0,
+                rows.append([num("theta"), num("mean_khat"), 0.0,
                              f"{r['pattern']}-k{r['k_true']}"])
-    elif figure == "figA1":
-        for r in records:
-            rows.append([int(r["k"]), float(r["delta_auc"]),
-                         2 * float(r["combined_se"]), f"eps{float(r['eps_acc']):g}"])
+        else:  # figA1
+            rows.append([num("k", int), num("delta_auc"), 2 * num("combined_se"),
+                         f"eps{num('eps_acc'):g}"])
     _write_csv(out_path, ["x", "y", "y_err", "series"], rows)
     return out_path
 

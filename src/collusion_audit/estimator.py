@@ -114,24 +114,24 @@ def estimate(queries, params: EstimatorParams) -> CoalitionEstimate:
 
 # --- calibration ----------------------------------------------------------
 
-def _max_cross_account_cos(Q: np.ndarray, n_per_account: int) -> float:
-    """Max cosine over pairs of queries from distinct accounts; queries
-    are laid out in contiguous per-account blocks."""
+def _cross_account_gram(Q: np.ndarray, n_per_account: int) -> np.ndarray:
+    """Gram matrix of queries laid out in contiguous per-account blocks,
+    each account's own block set to -2 (below any cosine)."""
     G = Q @ Q.T
-    n_acc = len(Q) // n_per_account
-    for a in range(n_acc):
+    for a in range(len(Q) // n_per_account):
         lo = a * n_per_account
         G[lo:lo + n_per_account, lo:lo + n_per_account] = -2.0
-    return float(G.max())
+    return G
+
+
+def _max_cross_account_cos(Q: np.ndarray, n_per_account: int) -> float:
+    """Max cosine over pairs of queries from distinct accounts."""
+    return float(_cross_account_gram(Q, n_per_account).max())
 
 
 def _cross_account_pairs(Q: np.ndarray, n_per_account: int, theta: float):
     """(i, j) query pairs from distinct accounts with cosine >= theta."""
-    G = Q @ Q.T
-    n_acc = len(Q) // n_per_account
-    for a in range(n_acc):
-        lo = a * n_per_account
-        G[lo:lo + n_per_account, lo:lo + n_per_account] = -2.0
+    G = _cross_account_gram(Q, n_per_account)
     ii, jj = np.nonzero(np.triu(G >= theta - _COS_TOL, 1))
     return list(zip(ii.tolist(), jj.tolist()))
 

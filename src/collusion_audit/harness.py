@@ -1,10 +1,10 @@
 """Multi-tenant noise-then-select retrieval simulator.
 
 Implements the retrieval service (inner-product scores, per-coordinate
-Gaussian noise added *before* top-K selection), with noise derived
-deterministically from a committed window seed so the audit protocol can
-re-execute every query bit-exactly, plus embedding digests and the
-embedding file format.
+Gaussian noise added *before* top-K selection) over a tenant's embeddings
+array, with noise derived deterministically from a committed window seed
+so the audit protocol can re-execute every query bit-exactly, plus the
+embedding digest that index commitments and query digests share.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,13 +21,10 @@ from .encoding import sha256
 __all__ = [
     "TenantIndex",
     "NoiseSeedRecord",
-    "RetrievalOutput",
     "topk_retrieve",
     "derive_noise_block",
     "embedding_digest",
-    "index_leaf_digests",
-    "load_embeddings",
-    "save_embeddings",
+    "is_unit_norm",
     "random_unit_vectors",
 ]
 
@@ -42,40 +39,30 @@ def random_unit_vectors(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 
 
 def embedding_digest(vector: np.ndarray) -> bytes:
-    """Canonical digest of one embedding (big-endian doubles)."""
+    """Canonical digest of one embedding or query vector (big-endian
+    doubles)."""
     raw = np.asarray(vector, dtype=">f8").tobytes()
     return sha256(raw)
 
 
+def is_unit_norm(embeddings: np.ndarray) -> bool:
+    """Whether every row of an (N, d) array has norm within 1e-9 of 1."""
+    norms = np.linalg.norm(embeddings, axis=1)
+    return bool(np.all(np.abs(norms - 1.0) <= _NORM_TOL))
+
+
 @dataclass
 class TenantIndex:
-    """One tenant's document index: unit-norm embeddings plus doc ids."""
+    """One tenant's document index: unit-norm embeddings, the document at
+    position p being named ``f"{tenant_id}/doc{p}"``."""
 
     tenant_id: str
     embeddings: np.ndarray  # shape (N, d)
-    doc_ids: list = field(default_factory=list)
 
     def __post_init__(self):
         self.embeddings = np.atleast_2d(np.asarray(self.embeddings, dtype=np.float64))
-        if not self.doc_ids:
-            self.doc_ids = [f"{self.tenant_id}/doc{i}" for i in range(len(self.embeddings))]
-        if len(self.doc_ids) != len(self.embeddings):
-            raise ValueError("doc_ids and embeddings must be parallel")
-        norms = np.linalg.norm(self.embeddings, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= _NORM_TOL):
+        if not is_unit_norm(self.embeddings):
             raise ValueError("embeddings must be unit-norm to 1e-9")
-
-    def __len__(self) -> int:
-        return len(self.embeddings)
-
-    @property
-    def dim(self) -> int:
-        return self.embeddings.shape[1]
-
-
-def index_leaf_digests(index: TenantIndex) -> list:
-    """Per-embedding digests in index order (vector-commitment leaves)."""
-    return [embedding_digest(v) for v in index.embeddings]
 
 
 @dataclass(frozen=True)
@@ -95,12 +82,6 @@ class NoiseSeedRecord:
             raise ValueError("seed and record digest must be 32 bytes")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
-
-
-@dataclass(frozen=True)
-class RetrievalOutput:
-    topk_positions: tuple
-    topk_doc_ids: tuple
 
 
 # coordinate || counter on the way in, the two leading 64-bit words of the
@@ -135,46 +116,17 @@ def derive_noise_block(
 
 
 def topk_retrieve(
-    index: TenantIndex, query: np.ndarray, K: int, noise: NoiseSeedRecord
-) -> RetrievalOutput:
-    """Noise-then-select retrieval: noise every score at ``noise.sigma``,
-    then take the K largest (ties broken toward the lower position index)."""
-    if K > len(index):
+    embeddings: np.ndarray, query: np.ndarray, K: int, noise: NoiseSeedRecord
+) -> tuple:
+    """Noise-then-select retrieval over an (N, d) embeddings array: noise
+    every score at ``noise.sigma``, then return the positions of the K
+    largest (ties broken toward the lower position)."""
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    if K > len(embeddings):
         raise ValueError("K exceeds index size")
-    scores = index.embeddings @ np.asarray(query, dtype=np.float64)
+    scores = embeddings @ np.asarray(query, dtype=np.float64)
     if noise.sigma > 0:
         scores = scores + derive_noise_block(
-            noise.window_seed, noise.query_record_digest, len(index), noise.sigma
+            noise.window_seed, noise.query_record_digest, len(embeddings), noise.sigma
         )
-    order = np.argsort(-scores, kind="stable")
-    top = order[:K]
-    return RetrievalOutput(
-        topk_positions=tuple(int(i) for i in top),
-        topk_doc_ids=tuple(index.doc_ids[i] for i in top),
-    )
-
-
-_EMB_MAGIC = b"EMB1"
-
-
-def save_embeddings(path, embeddings: np.ndarray) -> None:
-    """Flat binary embedding file: magic, then d and N as 64-bit
-    little-endian, then N*d little-endian doubles."""
-    arr = np.atleast_2d(np.asarray(embeddings, dtype="<f8"))
-    with open(path, "wb") as fh:
-        fh.write(_EMB_MAGIC)
-        fh.write(struct.pack("<qq", arr.shape[1], arr.shape[0]))
-        fh.write(arr.tobytes())
-
-
-def load_embeddings(path) -> np.ndarray:
-    """Inverse of :func:`save_embeddings`; supports externally produced
-    (trained-embedder) indices."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != _EMB_MAGIC:
-            raise ValueError("bad embedding file magic")
-        d, n = struct.unpack("<qq", fh.read(16))
-        data = np.frombuffer(fh.read(8 * d * n), dtype="<f8")
-    if data.size != d * n:
-        raise ValueError("truncated embedding file")
-    return data.reshape(n, d).astype(np.float64)
+    return tuple(int(i) for i in np.argsort(-scores, kind="stable")[:K])

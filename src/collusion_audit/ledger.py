@@ -24,7 +24,7 @@ subtree. On an n-leaf ledger the operations cost, in SHA-256 calls:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -33,6 +33,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 
 from .encoding import canonical, hash_fields, sha256
+from .harness import embedding_digest
 
 __all__ = [
     "CommitmentBundle",
@@ -42,6 +43,7 @@ __all__ = [
     "ConsistencyProof",
     "MerkleLedger",
     "merkle_root",
+    "index_root",
     "commit_phase_a",
     "prove_inclusion",
     "verify_inclusion",
@@ -161,21 +163,23 @@ def policy_commitment(policy) -> bytes:
     )
 
 
+def index_root(embeddings) -> bytes:
+    """Tenant-index commitment: the Merkle root over the embedding digests
+    of an (N, d) array's rows, in position order."""
+    return merkle_root([_leaf_hash(embedding_digest(v)) for v in embeddings])
+
+
 def commit_phase_a(policy, embedder_artifact_digest: bytes, indices: list,
                    window_seed: bytes, published_at: int = 0) -> CommitmentBundle:
     """Pre-window commitments: embedder artifact, per-tenant index roots,
     hashed window seed, empty ledger root, and the policy digest."""
     if len(window_seed) != 32:
         raise ValueError("window seed must be 32 bytes")
-    from .harness import index_leaf_digests  # local import avoids a cycle
-
     c_idx = {}
     for index in indices:
         if index.tenant_id in c_idx:
             raise ValueError(f"duplicate tenant id {index.tenant_id!r}")
-        c_idx[index.tenant_id] = merkle_root(
-            [_leaf_hash(d) for d in index_leaf_digests(index)]
-        )
+        c_idx[index.tenant_id] = index_root(index.embeddings)
     return CommitmentBundle(
         c_emb=embedder_artifact_digest,
         c_idx=c_idx,

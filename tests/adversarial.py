@@ -2,7 +2,7 @@
 
 ``audit.AuditService`` and ``audit.attest_query`` serve only honestly.
 The misbehaviours of the mutation battery are built here from the same
-public pieces (``topk_retrieve``, ``AttestationBlob``, ``QueryRecord``,
+public pieces (``noise_then_select``, ``AttestationBlob``, ``QueryRecord``,
 ``MerkleLedger.append`` and ``issue_receipt``):
 
 * ``wrong_sigma`` serves every query with noise at half the committed
@@ -24,7 +24,7 @@ import numpy as np
 
 from collusion_audit import audit
 from collusion_audit.encoding import sha256
-from collusion_audit.harness import NoiseSeedRecord, topk_retrieve
+from collusion_audit.harness import NoiseSeedRecord, embedding_digest
 from collusion_audit.ledger import (
     MerkleLedger,
     QueryRecord,
@@ -42,19 +42,20 @@ def attest_query(service, query, account_id, tenant_id, misbehavior=None, K=5):
     if misbehavior not in NOISE_FAULTS:
         return audit.attest_query(service, query, account_id, tenant_id, K)
     served, claimed = (f * service.policy.sigma for f in NOISE_FAULTS[misbehavior])
+    embeddings = service.indices[tenant_id].embeddings
     ts = service.next_timestamp()
-    q_digest = audit.query_vector_digest(query)
+    q_digest = embedding_digest(query)
     core = record_core_digest(account_id, tenant_id, q_digest, ts)
-    index = service.indices[tenant_id]
-    out = topk_retrieve(index, query, K, NoiseSeedRecord(service.window_seed, core, served))
     blob = audit.AttestationBlob(
         embedder_digest=service.embedder_digest, window_seed=service.window_seed,
-        sigma=claimed, core_digest=core, query_vector=np.asarray(query, dtype=np.float64),
-        opened_embeddings=index.embeddings, opened_tenant_id=tenant_id,
+        sigma=claimed, query_vector=np.asarray(query, dtype=np.float64),
+        opened_embeddings=embeddings, opened_tenant_id=tenant_id,
     )
     record = QueryRecord(
         account_id=account_id, tenant_id=tenant_id, query_digest=q_digest,
-        topk_digest=audit.topk_output_digest(out.topk_positions, out.topk_doc_ids),
+        topk_digest=audit.noise_then_select(
+            embeddings, tenant_id, query, K,
+            NoiseSeedRecord(service.window_seed, core, served)),
         timestamp=ts, attestation=blob,
     )
     root, pos = service.ledger.append(record)

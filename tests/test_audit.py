@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import adversarial
 from adversarial import rewrite_witnesses
-from collusion_audit import audit
+from collusion_audit import audit, defaults, ledger
 from collusion_audit.accounting import PolicyParams
 from collusion_audit.audit import (
     AuditService,
@@ -22,13 +22,13 @@ from collusion_audit.audit import (
 )
 from collusion_audit.encoding import sha256
 from collusion_audit.estimator import EstimatorParams
-from collusion_audit.harness import (
-    NoiseSeedRecord,
-    TenantIndex,
-    random_unit_vectors,
-    topk_retrieve,
+from collusion_audit.harness import NoiseSeedRecord, TenantIndex, random_unit_vectors
+from collusion_audit.ledger import (
+    MerkleLedger,
+    load_ledger,
+    record_core_digest,
+    save_ledger,
 )
-from collusion_audit.ledger import MerkleLedger, load_ledger, save_ledger
 
 EST_PARAMS = EstimatorParams(theta=0.80)
 
@@ -188,10 +188,12 @@ class TestAdversarialProvider:
         serve_window(service, misbehavior="select_then_noise")
 
         def topk_digest(rec, sigma):
-            blob = rec.attestation
-            noise = NoiseSeedRecord(service.window_seed, blob.core_digest, sigma)
-            out = topk_retrieve(service.indices[rec.tenant_id], blob.query_vector, 5, noise)
-            return audit.topk_output_digest(out.topk_positions, out.topk_doc_ids)
+            core = record_core_digest(rec.account_id, rec.tenant_id,
+                                      rec.query_digest, rec.timestamp)
+            return audit.noise_then_select(
+                service.indices[rec.tenant_id].embeddings, rec.tenant_id,
+                rec.attestation.query_vector, 5,
+                NoiseSeedRecord(service.window_seed, core, sigma))
 
         records = service.ledger.records
         assert all(topk_digest(rec, 0.0) == rec.topk_digest for rec in records)
@@ -294,6 +296,28 @@ class TestMalformedWitness:
                             receipts, EST_PARAMS, FULL)
         assert verdict.witnesses == [{"check": check, "witness": f"record 4: {witness}"}]
 
+    def test_scaled_committed_index_fails(self):
+        # committed and served as scaled, so containment holds; the noise
+        # is calibrated to unit-norm documents, so no epsilon is issued
+        rng = np.random.default_rng(0)
+        indices = [TenantIndex("tenant-a", random_unit_vectors(rng, 12, 16)),
+                   TenantIndex("tenant-b", random_unit_vectors(rng, 12, 16))]
+        indices[0].embeddings *= 2
+        service = AuditService(make_policy(), indices, b"\x07" * 32)
+        receipts = serve_window(service)
+        claims = verify_record(service.ledger.record(0), service.commitments,
+                               service.policy)
+        assert claims["tenant_containment"] == "ok"
+        assert claims["noise_then_select"] == "opened embeddings are not unit-norm"
+        verdict = run_audit(service.ledger, service.commitments, service.policy,
+                            receipts, EST_PARAMS, FULL)
+        assert verdict.status == "FAIL"
+        assert verdict.witnesses == [{
+            "check": "noise_then_select",
+            "witness": "record 0: opened embeddings are not unit-norm",
+        }]
+        assert verdict.eps_audit_headline is None
+
     def test_k_beyond_the_opened_index(self):
         service = make_service(docs=12)
         serve_window(service)
@@ -360,8 +384,8 @@ class TestIndexRootMemo:
         service = make_service(docs=12)
         receipts = serve_window(service)  # 15 records over two tenants
         calls = []
-        digest = audit.embedding_digest
-        monkeypatch.setattr(audit, "embedding_digest",
+        digest = ledger.embedding_digest  # the binding index_root uses
+        monkeypatch.setattr(ledger, "embedding_digest",
                             lambda v: calls.append(1) or digest(v))
         verdict = run_audit(service.ledger, service.commitments, service.policy,
                             receipts, EST_PARAMS, FULL)
@@ -371,6 +395,31 @@ class TestIndexRootMemo:
         for pos in range(len(service.ledger)):  # no memo: one build per call
             verify_record(service.ledger.record(pos), service.commitments, service.policy)
         assert len(calls) == 15 * 12
+
+
+class TestDigestsPinned:
+    def test_audit_e2e_window(self):
+        # the audit_e2e window at seed 1, served as the CLI serves it: the
+        # index commitment, the top-K digest and with them the ledger root
+        # are pinned byte for byte
+        rng = np.random.default_rng(1)
+        policy = PolicyParams.calibrated(eps_acc=1.0, delta_acc=defaults.DELTA_ACC,
+                                         n_queries=5, k_max=10, delta_policy=1e-5,
+                                         window_id="W-e2e")
+        indices = [TenantIndex("victim", random_unit_vectors(rng, 12, 16)),
+                   TenantIndex("other", random_unit_vectors(rng, 8, 16))]
+        service = AuditService(policy, indices,
+                               bytes(rng.integers(0, 256, 32, dtype=np.uint8)))
+        for a in range(3):
+            for _ in range(5):
+                attest_query(service, random_unit_vectors(rng, 1, 16)[0], f"acct{a}",
+                             "victim")
+        assert service.ledger.root.hex() == (
+            "005894b5b3766059069f9a22217d5114af869160b7e9cff8c844efe00c7e2277")
+        assert service.commitments.c_idx["victim"].hex() == (
+            "46cd31a5d4bf8e9e0bdc5ddf8599581dc336de8eea538d388dc98ebbd47581ed")
+        assert service.ledger.record(0).topk_digest.hex() == (
+            "25ce354a8ebe9e749e5917d83d1499dbf7cd7e6136075a25fff03d113d91033f")
 
 
 class TestUnusualEstimatorInputs:

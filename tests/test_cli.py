@@ -196,6 +196,28 @@ class TestRegenFigure:
         assert "missing columns" in capsys.readouterr().err
         assert not dst.exists()
 
+    FIGA1 = "k,eps_acc,delta_auc,combined_se\n1,16,0.01,0.02\n"
+
+    @pytest.mark.parametrize("figure,column,value", [
+        ("fig1a", "auc", "abc"),
+        ("fig1a", "k", "2.5"),
+        ("fig1a", "predicted_auc", "-"),
+        ("fig1b", "eps_acc", ""),
+        ("figA1", "combined_se", "x"),
+    ])
+    def test_unparsable_value_exit_two(self, tmp_path, capsys, figure, column, value):
+        # the second data row holds the one value that does not parse
+        header, row = (self.FIGA1 if figure == "figA1" else self.SWEEP).splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        cells[column] = value
+        src = tmp_path / "results.csv"
+        src.write_text(f"{header}\n{row}\n{','.join(cells.values())}\n")
+        dst = tmp_path / "o.csv"
+        assert run_cli(["regen-figure", "--results", str(src),
+                        "--figure", figure, "--out", str(dst)]) == 2
+        assert f"data row 2, column {column!r}: cannot read {value!r}" in capsys.readouterr().err
+        assert not dst.exists()
+
     def test_missing_results_file_exit_two(self, tmp_path):
         dst = tmp_path / "o.csv"
         assert run_cli(["regen-figure", "--results", str(tmp_path / "absent.csv"),

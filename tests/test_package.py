@@ -1,11 +1,14 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import collusion_audit
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(collusion_audit.__path__))
+PACKAGE_DIR = Path(collusion_audit.__file__).parent
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -13,3 +16,28 @@ def test_every_export_exists(name):
     # the span tracer of the benchmark reads every __all__ name with getattr
     module = importlib.import_module(f"collusion_audit.{name}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) for every name an import binds that the module never
+    reads; ``from __future__`` imports bind nothing."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [(line, name) for line, name in bound if name not in read]
+
+
+def test_unused_import_check_sees_one():
+    source = "import os\nfrom a.b import c, d as e\nimport x.y\nos.sep, e, x\n"
+    assert unused_imports(source) == [(2, "c")]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    # MODULES leaves out __init__.py, whose imports are re-exports
+    assert unused_imports((PACKAGE_DIR / f"{name}.py").read_text()) == []
