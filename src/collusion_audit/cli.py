@@ -36,6 +36,9 @@ FIGURES = {
 }
 
 _COMMON_KEYS = {"experiment", "out", "seed", "profile"}
+# the fewest trials each runner accepts: a sweep's AUC and DeLong SE need
+# two, the estimator calibration one
+_MIN_TRIALS = {"estimator_calibration": 1}
 
 
 class ConfigError(Exception):
@@ -63,6 +66,11 @@ def load_config(path: str | None, overrides: dict) -> dict:
             f"unknown config key(s) {unknown} for experiment {exp!r}; "
             f"allowed: {sorted(allowed)}"
         )
+    if "trials" in config:
+        trials, least = config["trials"], _MIN_TRIALS.get(exp, 2)
+        if type(trials) is not int or trials < least:
+            raise ConfigError(f"trials must be an integer >= {least} for experiment "
+                              f"{exp!r}, got {trials!r}")
     config.setdefault("seed", defaults.EXPERIMENT_SEEDS.get(exp, 0))
     config.setdefault("profile", "paper")
     config.setdefault("out", "out")
@@ -283,6 +291,16 @@ def run(config: dict) -> tuple[list, int]:
     return paths, exit_code
 
 
+def _coalition_size(text: str) -> int:
+    k = int(text)
+    if k < 1:
+        raise ValueError(k)
+    return k
+
+
+_READ_AS = {float: "a number", _coalition_size: "a coalition size (an integer >= 1)"}
+
+
 def _cell(path: str, row_no: int, row: dict, column: str, convert=float):
     """``convert(row[column])``, or a ConfigError naming the data row and
     the column."""
@@ -291,7 +309,7 @@ def _cell(path: str, row_no: int, row: dict, column: str, convert=float):
     except (TypeError, ValueError):
         raise ConfigError(
             f"{path}: data row {row_no}, column {column!r}: cannot read "
-            f"{row[column]!r} as {'an integer' if convert is int else 'a number'}"
+            f"{row[column]!r} as {_READ_AS[convert]}"
         ) from None
 
 
@@ -312,7 +330,7 @@ def regen_figure_data(results_csv: str, figure: str, out_path: str) -> str:
     for n, r in enumerate(records, 1):
         num = functools.partial(_cell, results_csv, n, r)
         if figure in ("fig1a", "fig1b"):
-            k, e = num("k", int), num("eps_acc")
+            k, e = num("k", _coalition_size), num("eps_acc")
             auc, se = num("auc"), num("delong_se")
             if figure == "fig1a":
                 rows.append([k, auc, se, f"eps{e:g}"])
@@ -328,7 +346,7 @@ def regen_figure_data(results_csv: str, figure: str, out_path: str) -> str:
                 rows.append([num("theta"), num("mean_khat"), 0.0,
                              f"{r['pattern']}-k{r['k_true']}"])
         else:  # figA1
-            rows.append([num("k", int), num("delta_auc"), 2 * num("combined_se"),
+            rows.append([num("k", _coalition_size), num("delta_auc"), 2 * num("combined_se"),
                          f"eps{num('eps_acc'):g}"])
     _write_csv(out_path, ["x", "y", "y_err", "series"], rows)
     return out_path

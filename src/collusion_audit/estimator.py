@@ -10,12 +10,18 @@ account population against three collusion patterns:
   P-B  jittered probes normalize(q* + zeta * eta)
   P-C  probes drawn iid from a small set of fixed paraphrase intents
 
+The threshold graph is built one block of Gram rows at a time over the
+upper triangle (``_gram_blocks``), keeping only the edges, so n queries
+take O(n^2 d) time but O(_BLOCK_ROWS * n + edges) memory; components come
+from scipy's connected_components on the edge list.
+
 Calibration exploits the structure of the patterns for speed: detection
 at threshold theta is equivalent to the maximum cross-account cosine
-reaching theta, and the colluder block's internal connectivity follows
-from an angle bound, so the full quadratic clustering only runs on the
-rare trials where a null account actually attaches. A property test
-checks these fast paths against the generic estimator.
+reaching theta, P-C connectivity follows from the intents each account
+drew, and P-B connectivity usually from an angle bound, so the generic
+estimator only runs on the rare trials where a null account actually
+attaches. Property tests check these fast paths, and the blocked graph,
+against the dense n x n Gram they replace.
 """
 
 from __future__ import annotations
@@ -43,6 +49,8 @@ PATTERNS = ("P-A", "P-B", "P-C")
 DEFAULT_THETA_GRID = tuple(np.round(np.linspace(0.20, 0.95, 16), 10))
 DEFAULT_K_TRUE = (2, 5, 10, 20)
 _COS_TOL = 1e-12
+# Gram rows computed at a time: a block holds _BLOCK_ROWS x n cosines
+_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -70,13 +78,57 @@ class CalibrationReport:
     khat_exact_rate: dict = field(default_factory=dict)  # fraction of trials k_hat == k_true
 
 
-def _component_account_counts(accounts, adj: np.ndarray) -> list:
-    n_comp, labels = connected_components(csr_matrix(adj), directed=False)
-    counts = []
-    accounts = np.asarray(accounts)
-    for c in range(n_comp):
-        counts.append(len(set(accounts[labels == c])))
-    return counts
+def _gram_blocks(Q: np.ndarray, mask=None):
+    """The strict upper triangle of ``Q @ Q.T``, one block of rows at a time.
+
+    Yields ``(lo, G)``: ``G[r, c] = Q[lo + r] . Q[lo + c]`` for up to
+    _BLOCK_ROWS rows from ``lo`` and every column from ``lo``, set to -inf
+    where ``c <= r``; ``mask(lo, G)``, if given, sets to -inf the pairs it
+    rules out. Memory is O(_BLOCK_ROWS * n): the n x n product is never
+    formed.
+    """
+    below = np.tri(_BLOCK_ROWS, dtype=bool)
+    for lo in range(0, len(Q), _BLOCK_ROWS):
+        G = Q[lo:lo + _BLOCK_ROWS] @ Q[lo:].T
+        m = len(G)
+        np.copyto(G[:, :m], -np.inf, where=below[:m, :m])
+        if mask is not None:
+            mask(lo, G)
+        yield lo, G
+
+
+def _edges(Q: np.ndarray, theta: float, mask=None):
+    """Index arrays (rows, cols), rows < cols, of the pairs of ``Q`` at
+    cosine >= theta (within _COS_TOL) that ``mask`` leaves in, in
+    row-major order."""
+    rows, cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for lo, G in _gram_blocks(Q, mask):
+        r, c = np.nonzero(G >= theta - _COS_TOL)
+        rows.append(r + lo)
+        cols.append(c + lo)
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _components(rows, cols, n: int):
+    """(count, labels) of the connected components of the graph on n
+    nodes with the undirected edges (rows, cols)."""
+    graph = csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n, n))
+    return connected_components(graph, directed=False)
+
+
+def _most_accounts(rows, cols, accounts: np.ndarray) -> int:
+    """Most distinct accounts in one connected component of the graph with
+    the edges (rows, cols) on the nodes 0..len(accounts)-1, where
+    ``accounts`` holds each node's account as a non-negative int; 0 when
+    there is no edge. Only the ends of edges are counted: every other
+    component is one node of one account."""
+    if len(rows) == 0:
+        return 0
+    _, labels = _components(rows, cols, len(accounts))
+    ends = np.concatenate([rows, cols])
+    stride = int(accounts.max()) + 1
+    component_accounts = np.unique(labels[ends].astype(np.int64) * stride + accounts[ends])
+    return int(np.bincount(component_accounts // stride).max())
 
 
 def estimate(queries, params: EstimatorParams) -> CoalitionEstimate:
@@ -101,98 +153,85 @@ def estimate(queries, params: EstimatorParams) -> CoalitionEstimate:
         usable = np.isfinite(norms) & (norms > 0)
         off = usable & (np.abs(norms - 1.0) > 1e-6)
         Q[off] /= norms[off, None]
-        adj = (Q @ Q.T) >= params.theta - _COS_TOL
-        adj[~usable] = False
-        adj[:, ~usable] = False
+        ids = {}
+        codes = np.array([ids.setdefault(a, len(ids)) for a in accounts])[usable]
+        mask = None
         if params.window_tau is not None:
-            ts = np.asarray(times, dtype=np.int64)
-            adj &= np.abs(ts[:, None] - ts[None, :]) <= params.window_tau
-        np.fill_diagonal(adj, False)
-        largest = max(largest, *_component_account_counts(accounts, adj))
+            ts = np.asarray(times, dtype=np.int64)[usable]
+
+            def mask(lo, G):
+                stale = np.abs(ts[lo:lo + len(G), None] - ts[None, lo:]) > params.window_tau
+                np.copyto(G, -np.inf, where=stale)
+        rows, cols = _edges(Q[usable], params.theta, mask)
+        largest = max(largest, _most_accounts(rows, cols, codes))
     return CoalitionEstimate(largest)
 
 
 # --- calibration ----------------------------------------------------------
 
-def _cross_account_gram(Q: np.ndarray, n_per_account: int) -> np.ndarray:
-    """Gram matrix of queries laid out in contiguous per-account blocks,
-    each account's own block set to -2 (below any cosine)."""
-    G = Q @ Q.T
-    for a in range(len(Q) // n_per_account):
-        lo = a * n_per_account
-        G[lo:lo + n_per_account, lo:lo + n_per_account] = -2.0
-    return G
+def _same_account(n_per_account: int):
+    """``mask`` for a pool of queries laid out in contiguous per-account
+    blocks of n_per_account: rules out the pairs within one account."""
+    def mask(lo, G):
+        hi = lo + len(G)
+        for start in range(lo - lo % n_per_account, hi, n_per_account):
+            end = start + n_per_account
+            # the account's rows, up to its last column (the columns
+            # before its first query are below the diagonal already)
+            G[max(start, lo) - lo:min(end, hi) - lo, :end - lo] = -np.inf
+    return mask
 
 
 def _max_cross_account_cos(Q: np.ndarray, n_per_account: int) -> float:
-    """Max cosine over pairs of queries from distinct accounts."""
-    return float(_cross_account_gram(Q, n_per_account).max())
+    """Max cosine over pairs of queries from distinct accounts (-inf when
+    there is no such pair)."""
+    return max(float(G.max()) for _, G in _gram_blocks(Q, _same_account(n_per_account)))
 
 
-def _cross_account_pairs(Q: np.ndarray, n_per_account: int, theta: float):
-    """(i, j) query pairs from distinct accounts with cosine >= theta."""
-    G = _cross_account_gram(Q, n_per_account)
-    ii, jj = np.nonzero(np.triu(G >= theta - _COS_TOL, 1))
-    return list(zip(ii.tolist(), jj.tolist()))
+def _cross_account_edges(Q: np.ndarray, n_per_account: int, theta: float):
+    """(rows, cols) of the query pairs from distinct accounts with cosine
+    >= theta."""
+    return _edges(Q, theta, _same_account(n_per_account))
 
 
-def _spurious_component_max(pairs, n_per_account: int) -> int:
-    """Largest distinct-account count over components formed by the given
-    cross-account edges (0 when there are no edges)."""
-    if not pairs:
-        return 0
-    nodes = sorted({i for p in pairs for i in p})
-    idx = {v: i for i, v in enumerate(nodes)}
-    adj = np.zeros((len(nodes), len(nodes)), dtype=bool)
-    for i, j in pairs:
-        adj[idx[i], idx[j]] = adj[idx[j], idx[i]] = True
-    accounts = [v // n_per_account for v in nodes]
-    return max(_component_account_counts(accounts, adj))
+def _reaches(X: np.ndarray, Y: np.ndarray, theta: float) -> bool:
+    """Whether some row of X has cosine >= theta with some row of Y,
+    checked one block of X's rows at a time."""
+    return any(float((X[lo:lo + _BLOCK_ROWS] @ Y.T).max()) >= theta - _COS_TOL
+               for lo in range(0, len(X), _BLOCK_ROWS))
 
 
 def _colluder_queries(rng, pattern: str, k: int, n: int, d: int,
                       jitter: float, intent_set: int):
-    """Colluder query block plus the anchor directions that characterize
-    it (used for the cheap attachment test)."""
+    """Colluder query block, the anchor directions that characterize it
+    (used for the cheap attachment test) and, for P-C, each query's
+    intent index (None for the other patterns)."""
     qstar = random_unit_vectors(rng, 1, d)[0]
     if pattern == "P-A":
-        return np.tile(qstar, (k * n, 1)), qstar[None, :]
+        return np.tile(qstar, (k * n, 1)), qstar[None, :], None
     if pattern == "P-C":
         intents = random_unit_vectors(rng, intent_set, d)
         choices = rng.integers(0, intent_set, size=k * n)
-        return intents[choices], intents
+        return intents[choices], intents, choices
     if pattern == "P-B":
         eta = random_unit_vectors(rng, k * n, d)
         q = qstar[None, :] + jitter * eta
         q /= np.linalg.norm(q, axis=1, keepdims=True)
-        return q, q
+        return q, q, None
     raise ValueError(pattern)
 
 
-def _colluders_connected(Q_col: np.ndarray, pattern: str, k: int, n: int,
+def _colluders_connected(Q_col: np.ndarray, choices, pattern: str, k: int, n: int,
                          theta: float) -> bool:
     """Exact-but-cheap connectivity check for the colluder block."""
     if pattern == "P-A":
         return True
     if pattern == "P-C":
-        # accounts are linked whenever they share an intent (cosine-1 edge);
-        # treat intents as nodes of a bipartite account-intent graph
-        intents_per_account = [set() for _ in range(k)]
-        # recover intent identity by exact vector match against the uniques
-        uniq, inv = np.unique(Q_col, axis=0, return_inverse=True)
-        for q_idx, intent in enumerate(inv):
-            intents_per_account[q_idx // n].add(int(intent))
-        reached = {0}
-        frontier = set(intents_per_account[0])
-        changed = True
-        while changed:
-            changed = False
-            for a in range(k):
-                if a not in reached and intents_per_account[a] & frontier:
-                    reached.add(a)
-                    frontier |= intents_per_account[a]
-                    changed = True
-        return len(reached) == k
+        # accounts are linked whenever they share an intent (cosine-1
+        # edge): one component of the bipartite account-intent graph
+        _, labels = _components(np.arange(k * n) // n, k + choices,
+                                k + int(choices.max()) + 1)
+        return bool(np.all(labels[:k] == labels[0]))
     # P-B: angle bound — every query is within arccos(c0) of q*, so any
     # pair is within twice that
     qstar = Q_col.mean(axis=0)
@@ -200,10 +239,7 @@ def _colluders_connected(Q_col: np.ndarray, pattern: str, k: int, n: int,
     c0 = float(np.min(Q_col @ qstar))
     if math.cos(2.0 * math.acos(min(1.0, c0))) >= theta:
         return True
-    G = Q_col @ Q_col.T
-    np.fill_diagonal(G, 1.0)
-    n_comp, _ = connected_components(csr_matrix(G >= theta - _COS_TOL), directed=False)
-    return n_comp == 1
+    return _components(*_edges(Q_col, theta), k * n)[0] == 1
 
 
 def calibrate(
@@ -227,6 +263,8 @@ def calibrate(
     k_hat over the whole grid via the generic estimator (slow; intended
     for figure regeneration only).
     """
+    if trials < 1:
+        raise ValueError(f"calibrate needs trials >= 1, got {trials}")
     hp = {"A": 30, "n": 100, "d": 32}
     if harness_params:
         hp.update(harness_params)
@@ -256,19 +294,19 @@ def calibrate(
     exact_count = {(p, k): 0 for p in PATTERNS for k in k_true_set}
     for t in range(trials):
         null_pool = random_unit_vectors(arm_rng, (A - min(k_true_set)) * n, d).astype(np.float32)
-        null_pairs_all = _cross_account_pairs(null_pool, n, operating)
+        null_rows, null_cols = _cross_account_edges(null_pool, n, operating)
+        null_accounts = np.arange(len(null_pool)) // n
         for pattern in PATTERNS:
             for k in k_true_set:
                 nulls = null_pool[: (A - k) * n]
-                Q_col, anchors = _colluder_queries(
+                Q_col, anchors, choices = _colluder_queries(
                     arm_rng, pattern, k, n, d, jitter, intent_set
                 )
-                connected = _colluders_connected(Q_col, pattern, k, n, operating)
-                attach = float((nulls @ anchors.astype(np.float32).T).max()) >= operating - _COS_TOL
-                if connected and not attach:
-                    pairs = [p for p in null_pairs_all
-                             if p[0] < (A - k) * n and p[1] < (A - k) * n]
-                    spurious = _spurious_component_max(pairs, n)
+                connected = _colluders_connected(Q_col, choices, pattern, k, n, operating)
+                if connected and not _reaches(nulls, anchors.astype(np.float32), operating):
+                    inside = null_cols < len(nulls)  # rows < cols
+                    spurious = _most_accounts(null_rows[inside], null_cols[inside],
+                                              null_accounts)
                     k_hat = max(k, spurious)
                 else:
                     # rare slow path: fall back to the generic estimator
@@ -294,7 +332,7 @@ def calibrate(
                 for k in k_true_set:
                     tot = 0.0
                     for _ in range(khat_curve_trials):
-                        Q_col, _ = _colluder_queries(
+                        Q_col, _, _ = _colluder_queries(
                             curve_rng, pattern, k, n, d, jitter, intent_set
                         )
                         nulls = random_unit_vectors(curve_rng, (A - k) * n, d)

@@ -80,6 +80,32 @@ class TestConfigHandling:
         assert run_cli(["epsilon_table", "--config", str(cfg),
                         "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("experiment,trials", [
+        ("estimator_calibration", 0),
+        ("estimator_calibration", True),
+        ("estimator_calibration", 2.0),
+        ("topk_sweep", 0),
+        ("topk_sweep", 1),
+        ("scalar_sweep", "100"),
+        ("external_vs_same", 1),
+        ("alt_adversaries", -3),
+    ])
+    def test_trials_the_runner_rejects_exit_two(self, tmp_path, capsys, experiment, trials):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": experiment, "trials": trials}))
+        out = tmp_path / "out"
+        assert run_cli([experiment, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "trials must be an integer >=" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment,trials", [("estimator_calibration", 1),
+                                                   ("topk_sweep", 2)])
+    def test_fewest_trials_accepted(self, tmp_path, experiment, trials):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": experiment, "trials": trials,
+                                   "profile": "smoke"}))
+        assert run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
     def test_cross_experiment_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"experiment": "cost_table", "trials": 5}))
@@ -204,9 +230,13 @@ class TestRegenFigure:
         ("fig1a", "predicted_auc", "-"),
         ("fig1b", "eps_acc", ""),
         ("figA1", "combined_se", "x"),
+        ("fig1a", "k", "0"),
+        ("fig1b", "k", "-1"),
+        ("figA1", "k", "-1"),
     ])
     def test_unparsable_value_exit_two(self, tmp_path, capsys, figure, column, value):
-        # the second data row holds the one value that does not parse
+        # the second data row holds the one value that does not parse (or,
+        # for a coalition size k, is below 1)
         header, row = (self.FIGA1 if figure == "figA1" else self.SWEEP).splitlines()
         cells = dict(zip(header.split(","), row.split(",")))
         cells[column] = value

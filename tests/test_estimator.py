@@ -1,16 +1,108 @@
+import hashlib
+import tracemalloc
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from collusion_audit import estimator as est_mod
 from collusion_audit.estimator import EstimatorParams, calibrate, estimate
 from collusion_audit.harness import random_unit_vectors
+
+COS_TOL = 1e-12
 
 
 def queries_from(accounts, Q, ts=None):
     if ts is None:
         ts = range(len(accounts))
     return [(a, q, t) for a, q, t in zip(accounts, Q, ts)]
+
+
+# --- the dense reference: the n x n Gram that the blocked code replaces ----
+
+def dense_component_account_counts(accounts, adj):
+    n_comp, labels = connected_components(csr_matrix(adj), directed=False)
+    accounts = np.asarray(accounts)
+    return [len(set(accounts[labels == c])) for c in range(n_comp)]
+
+
+def dense_estimate(queries, params):
+    groups = {}
+    for account, vector, timestamp in queries:
+        vector = np.asarray(vector, dtype=np.float64)
+        accounts, rows, times = groups.setdefault(vector.shape, ([], [], []))
+        accounts.append(account)
+        rows.append(vector)
+        times.append(timestamp)
+    largest = 1
+    for accounts, rows, times in groups.values():
+        Q = np.asarray(rows)
+        norms = np.linalg.norm(Q, axis=1)
+        usable = np.isfinite(norms) & (norms > 0)
+        off = usable & (np.abs(norms - 1.0) > 1e-6)
+        Q[off] /= norms[off, None]
+        with np.errstate(invalid="ignore", over="ignore"):
+            adj = (Q @ Q.T) >= params.theta - COS_TOL
+        adj[~usable] = False
+        adj[:, ~usable] = False
+        if params.window_tau is not None:
+            ts = np.asarray(times, dtype=np.int64)
+            adj &= np.abs(ts[:, None] - ts[None, :]) <= params.window_tau
+        np.fill_diagonal(adj, False)
+        largest = max(largest, *dense_component_account_counts(accounts, adj))
+    return largest
+
+
+def dense_cross_account_gram(Q, n_per_account):
+    G = Q @ Q.T
+    for a in range(len(Q) // n_per_account):
+        lo = a * n_per_account
+        G[lo:lo + n_per_account, lo:lo + n_per_account] = -2.0
+    return G
+
+
+def dense_cross_account_pairs(Q, n_per_account, theta):
+    G = dense_cross_account_gram(Q, n_per_account)
+    ii, jj = np.nonzero(np.triu(G >= theta - COS_TOL, 1))
+    return list(zip(ii.tolist(), jj.tolist()))
+
+
+def dense_spurious_component_max(pairs, n_per_account):
+    if not pairs:
+        return 0
+    nodes = sorted({i for p in pairs for i in p})
+    idx = {v: i for i, v in enumerate(nodes)}
+    adj = np.zeros((len(nodes), len(nodes)), dtype=bool)
+    for i, j in pairs:
+        adj[idx[i], idx[j]] = adj[idx[j], idx[i]] = True
+    return max(dense_component_account_counts([v // n_per_account for v in nodes], adj))
+
+
+def dense_intents_connected(Q_col, k, n):
+    """P-C connectivity with the intents recovered from the vectors."""
+    _, inv = np.unique(Q_col, axis=0, return_inverse=True)
+    intents_per_account = [set() for _ in range(k)]
+    for q_idx, intent in enumerate(inv.ravel()):
+        intents_per_account[q_idx // n].add(int(intent))
+    reached, frontier, changed = {0}, set(intents_per_account[0]), True
+    while changed:
+        changed = False
+        for a in range(k):
+            if a not in reached and intents_per_account[a] & frontier:
+                reached.add(a)
+                frontier |= intents_per_account[a]
+                changed = True
+    return len(reached) == k
+
+
+def dense_queries_connected(Q_col, theta):
+    G = Q_col @ Q_col.T
+    np.fill_diagonal(G, 1.0)
+    return connected_components(csr_matrix(G >= theta - COS_TOL), directed=False)[0] == 1
 
 
 def aligned_block(rng, k, n, d, cos=0.99):
@@ -91,6 +183,9 @@ class TestEstimateProperties:
         qs = queries_from(accounts, Q, ts=[0, 1000])
         assert estimate(qs, EstimatorParams(0.9)).largest_cluster_accounts == 2
         assert estimate(qs, EstimatorParams(0.9, window_tau=10)).largest_cluster_accounts == 1
+        # a gap of exactly tau still links
+        qs = queries_from(accounts, Q, ts=[0, 10])
+        assert estimate(qs, EstimatorParams(0.9, window_tau=10)).largest_cluster_accounts == 2
 
     def test_evasion_below_threshold(self):
         # colluders that keep every pairwise cosine below theta evade detection
@@ -127,14 +222,174 @@ class TestEstimateProperties:
         rng = np.random.default_rng(seed)
         A, n, d, theta = 8, 3, 4, 0.45  # low d/theta to force edges
         Q = random_unit_vectors(rng, A * n, d)
-        pairs = est_mod._cross_account_pairs(Q.copy(), n, theta)
-        fast = est_mod._spurious_component_max(pairs, n)
+        rows, cols = est_mod._cross_account_edges(Q.copy(), n, theta)
+        fast = est_mod._most_accounts(rows, cols, np.arange(A * n) // n)
         qs = queries_from([f"a{i // n}" for i in range(A * n)], Q)
         generic = estimate(qs, EstimatorParams(theta)).largest_cluster_accounts
         assert max(fast, 1) == generic
 
 
+def window(seed, n, d, n_accounts):
+    """n queries with duplicated rows (cosine exactly 1), rows of another
+    dimension, and zero, non-finite and non-unit rows."""
+    rng = np.random.default_rng(seed)
+    pools = {dim: random_unit_vectors(rng, max(1, n // 3), dim) for dim in (d, d + 1)}
+    queries = []
+    for t in range(n):
+        dim = d + 1 if rng.random() < 0.1 else d
+        v = pools[dim][rng.integers(len(pools[dim]))].copy()
+        kind = rng.random()
+        if kind < 0.05:
+            v[:] = 0.0
+        elif kind < 0.1:
+            v[rng.integers(dim)] = rng.choice([np.nan, np.inf, -np.inf])
+        elif kind < 0.3:
+            v *= rng.uniform(0.1, 3.0)
+        elif kind < 0.5:
+            v += 0.3 * random_unit_vectors(rng, 1, dim)[0]
+        queries.append((f"acct{rng.integers(n_accounts)}", v, int(rng.integers(3 * n + 1))))
+    return queries
+
+
+class TestBlockedMatchesDense:
+    """The row-blocked threshold graph against the dense n x n Gram, at the
+    shipped block height and at a small one that puts many block
+    boundaries inside each pool."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(block=st.sampled_from([5, est_mod._BLOCK_ROWS]),
+           size=st.sampled_from(["one", "below", "equal", "above", "several"]),
+           seed=st.integers(0, 2**32 - 1),
+           d=st.integers(1, 4),
+           n_accounts=st.integers(1, 6),
+           theta=st.one_of(st.just(1.0), st.just(-1.0), st.floats(-1.0, 1.0)),
+           tau=st.one_of(st.none(), st.integers(0, 30)))
+    def test_estimate(self, block, size, seed, d, n_accounts, theta, tau):
+        n = {"one": 1, "below": block - 1, "equal": block, "above": block + 1,
+             "several": 2 * block + 3}[size]
+        queries = window(seed, n, d, n_accounts)
+        params = EstimatorParams(theta, window_tau=tau)
+        with mock.patch.object(est_mod, "_BLOCK_ROWS", block):
+            got = estimate(queries, params).largest_cluster_accounts
+        assert got == dense_estimate(queries, params)
+
+    def test_duplicates_at_theta_one(self):
+        rng = np.random.default_rng(8)
+        probe, other = random_unit_vectors(rng, 2, 16)
+        n = 2 * est_mod._BLOCK_ROWS + 7
+        rows = [probe if i % 50 == 0 else other if i % 50 == 1 else
+                random_unit_vectors(rng, 1, 16)[0] for i in range(n)]
+        accounts = [f"a{i % 9}" for i in range(n)]
+        queries = queries_from(accounts, rows)
+        probe_accounts = len({accounts[i] for i in range(0, n, 50)})
+        got = estimate(queries, EstimatorParams(1.0)).largest_cluster_accounts
+        assert got == dense_estimate(queries, EstimatorParams(1.0)) == probe_accounts > 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(block=st.sampled_from([5, est_mod._BLOCK_ROWS]),
+           n_per_account=st.sampled_from([1, 3, 7, 13, 100]),
+           n_accounts=st.integers(2, 80),
+           seed=st.integers(0, 2**32 - 1),
+           d=st.integers(2, 8),
+           theta=st.floats(0.0, 0.99),
+           keep_accounts=st.integers(1, 80))
+    def test_calibration_helpers(self, block, n_per_account, n_accounts, seed, d, theta,
+                                 keep_accounts):
+        # account runs of 7, 13 or 100 queries straddle the block boundaries
+        n_accounts = max(2, min(n_accounts, 700 // n_per_account))
+        rng = np.random.default_rng(seed)
+        Q = random_unit_vectors(rng, n_accounts * n_per_account, d).astype(np.float32)
+        pairs = dense_cross_account_pairs(Q, n_per_account, theta)
+        cut = min(keep_accounts, n_accounts) * n_per_account
+        with mock.patch.object(est_mod, "_BLOCK_ROWS", block):
+            top = est_mod._max_cross_account_cos(Q, n_per_account)
+            rows, cols = est_mod._cross_account_edges(Q, n_per_account, theta)
+            all_rows, all_cols = est_mod._edges(Q, theta)
+        ii, jj = np.nonzero(np.triu(Q @ Q.T >= theta - COS_TOL, 1))
+        assert np.array_equal(all_rows, ii) and np.array_equal(all_cols, jj)
+        assert top == float(dense_cross_account_gram(Q, n_per_account).max())
+        assert list(zip(rows.tolist(), cols.tolist())) == pairs
+        inside = cols < cut
+        got = est_mod._most_accounts(rows[inside], cols[inside],
+                                     np.arange(len(Q)) // n_per_account)
+        assert got == dense_spurious_component_max(
+            [p for p in pairs if p[1] < cut], n_per_account)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pattern=st.sampled_from(["P-B", "P-C"]),
+           seed=st.integers(0, 2**32 - 1),
+           k=st.integers(1, 8),
+           n=st.integers(1, 6),
+           intent_set=st.integers(1, 12),
+           jitter=st.floats(0.0, 2.0),
+           theta=st.floats(0.0, 0.99))
+    def test_colluder_connectivity(self, pattern, seed, k, n, intent_set, jitter, theta):
+        rng = np.random.default_rng(seed)
+        Q_col, _, choices = est_mod._colluder_queries(rng, pattern, k, n, 4, jitter, intent_set)
+        with mock.patch.object(est_mod, "_BLOCK_ROWS", 5):
+            got = est_mod._colluders_connected(Q_col, choices, pattern, k, n, theta)
+        if pattern == "P-C":
+            assert got == dense_intents_connected(Q_col, k, n)
+        else:
+            assert got == dense_queries_connected(Q_col, theta)
+
+
+def plain(x):
+    if isinstance(x, tuple):
+        return tuple(plain(v) for v in x)
+    return x if isinstance(x, str) else float(x)
+
+
+def report_digest(rep):
+    fields = [plain(tuple(rep.theta_grid)), rep.operating_theta]
+    for table in (rep.null_fpr, rep.khat_by_pattern, rep.tpr, rep.khat_exact_rate):
+        fields.append(sorted((plain(k), float(v)) for k, v in table.items()))
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+class TestCalibrationReportPinned:
+    """Reports recorded with the dense-Gram calibration; the blocked one
+    must reproduce them exactly."""
+
+    def test_default_population(self):
+        assert report_digest(calibrate(trials=5, seed=2)) == (
+            "4d2eb7a2ca4ad83cf0799618497037edd0e85cf4a42efe819a2c94c3e67c8e40")
+
+    def test_small_population_with_khat_curve(self):
+        # low d: spurious multi-account components, the slow path, and
+        # pools of 600 queries that cross block boundaries
+        rep = calibrate(harness_params={"A": 12, "n": 50, "d": 8},
+                        theta_grid=(0.6, 0.7, 0.8, 0.9), trials=10, seed=2,
+                        k_true_set=(2, 5), khat_curve=True, khat_curve_trials=1)
+        assert report_digest(rep) == (
+            "1023a2fd1379316c6e67ebf4625e2c307f24989d09a954d1748790c9497b1193")
+
+
+def test_estimate_memory_is_blocked():
+    # the dense path would allocate a 20,000 x 20,000 float64 Gram (3.2 GB)
+    rng = np.random.default_rng(7)
+    n, d = 20_000, 64
+    Q = random_unit_vectors(rng, n, d)
+    probe = Q[0].copy()
+    Q[:50] = probe + 0.05 * Q[:50]  # 5 accounts send 10 jittered probes each
+    accounts = [f"c{i // 10}" if i < 50 else f"u{i // 100}" for i in range(n)]
+    queries = queries_from(accounts, Q)
+    tracemalloc.start()
+    try:
+        got = estimate(queries, EstimatorParams(0.8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.largest_cluster_accounts == 5
+    assert peak < 300 * 2**20
+
+
 class TestCalibrateSmoke:
+    def test_trials_below_one_rejected(self):
+        with pytest.raises(ValueError, match="trials"):
+            calibrate(trials=0)
+
+
     def test_small_calibration(self):
         rep = calibrate(harness_params={"A": 8, "n": 10, "d": 16},
                         theta_grid=(0.4, 0.6, 0.8), trials=20,
