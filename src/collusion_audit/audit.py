@@ -193,15 +193,24 @@ def _same(witness, expected) -> bool:
     return type(witness) is type(expected) and witness == expected
 
 
-def _index_root(opened: np.ndarray, memo: dict) -> bytes:
-    """``index_root`` of the opened embeddings, built once per distinct
-    (shape, buffer): the same bytes at another shape are other leaves, so
-    the shape is part of the key."""
-    key = (opened.shape, sha256(np.asarray(opened, dtype=">f8").tobytes()))
-    root = memo.get(key)
-    if root is None:
-        root = memo[key] = index_root(opened)
-    return root
+def _opened_index_checks(tenant_id: str, opened: np.ndarray,
+                         memo: dict) -> tuple[bytes, bool]:
+    """(``index_root``, ``is_unit_norm``) of a tenant's opened embeddings,
+    taken as the float64 values the retrieval relation runs on.
+
+    ``memo`` maps the tenant id to a private copy of the last opening
+    checked for it, as float64 bits, with both results. An opening of the
+    same shape and bits reuses them; any other opening is checked afresh
+    and replaces the entry. Bits, not values: -0.0 equals 0.0 but hashes
+    differently. A copy, not a reference: a reference would still equal
+    itself after an in-place write.
+    """
+    bits = np.ascontiguousarray(opened, dtype=np.float64).view(np.uint64)
+    entry = memo.get(tenant_id)
+    if entry is None or not np.array_equal(entry[0], bits):
+        values = bits.view(np.float64)
+        entry = memo[tenant_id] = (bits.copy(), index_root(values), is_unit_norm(values))
+    return entry[1], entry[2]
 
 
 def verify_record(record: QueryRecord, commitments: CommitmentBundle,
@@ -211,9 +220,10 @@ def verify_record(record: QueryRecord, commitments: CommitmentBundle,
 
     The seed, sigma and policy are checked against their commitments; the
     noise is then derived once, inside the noise-then-select re-execution.
-    ``root_memo`` maps (shape, digest of the opened buffer) to the index
-    root, so an audit that passes one dict to every call builds each
-    opened index's root once; without it the call builds its own.
+    ``root_memo`` holds, per tenant, the last opened index checked and its
+    root and unit-norm result, so an audit that passes one dict to every
+    call checks each tenant's opening once while it stays bitwise the
+    same; without it the call checks the opening itself.
 
     Returns claim -> "ok" or a short witness string; a malformed witness
     yields a witness, never an exception.
@@ -244,15 +254,15 @@ def verify_record(record: QueryRecord, commitments: CommitmentBundle,
     # A4: openings all come from this tenant's committed index
     opened = blob.opened_embeddings
     committed = commitments.c_idx.get(record.tenant_id)
+    unmatched = "opened embeddings do not match the tenant's committed root"
     if not _real_array(opened, 2):
         result["tenant_containment"] = "opened embeddings are not an (N, d) array"
-    elif (committed is None or not _same(blob.opened_tenant_id, record.tenant_id)
-          or _index_root(opened, {} if root_memo is None else root_memo) != committed):
-        result["tenant_containment"] = (
-            "opened embeddings do not match the tenant's committed root"
-        )
+    elif committed is None or not _same(blob.opened_tenant_id, record.tenant_id):
+        result["tenant_containment"] = unmatched
     else:
-        result["tenant_containment"] = "ok"
+        root, unit_norm = _opened_index_checks(
+            record.tenant_id, opened, {} if root_memo is None else root_memo)
+        result["tenant_containment"] = "ok" if root == committed else unmatched
 
     # A3: noise-then-select re-execution reproduces the published top-K
     query = blob.query_vector
@@ -266,7 +276,7 @@ def verify_record(record: QueryRecord, commitments: CommitmentBundle,
         result["noise_then_select"] = (
             f"K={K} exceeds the opened index of {len(opened)} documents"
         )
-    elif not is_unit_norm(opened):
+    elif not unit_norm:
         # sigma is calibrated to unit-norm documents: a scaled index widens
         # the score gap the noise has to hide
         result["noise_then_select"] = "opened embeddings are not unit-norm"
@@ -322,10 +332,10 @@ def run_audit(ledger: MerkleLedger, commitments: CommitmentBundle, policy,
     else:
         rng = np.random.default_rng(seed)
         positions = sorted(rng.choice(n, size=plan.s, replace=False).tolist())
-    index_roots: dict = {}  # one root build per distinct opened index
+    openings: dict = {}  # tenant id -> last opening checked, its root and unit norm
     for pos in positions:
         claims = verify_record(ledger.record(pos), commitments, policy, K=K,
-                               root_memo=index_roots)
+                               root_memo=openings)
         for claim, status in claims.items():
             if status != "ok" and not status.startswith("not evaluated"):
                 return _fail(verdict, claim, f"record {pos}: {status}")

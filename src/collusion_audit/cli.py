@@ -41,6 +41,25 @@ _COMMON_KEYS = {"experiment", "out", "seed", "profile"}
 _MIN_TRIALS = {"estimator_calibration": 1}
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 1
+
+
+def _is_fraction_list(value) -> bool:
+    return (type(value) is list and len(value) > 0
+            and all(type(r) in (int, float) and 0.0 < r <= 1.0 for r in value))
+
+
+# experiment key -> (check, the rule it enforces); trials has its own rule
+_KEY_RULES = {
+    "n_queries": (_is_count, "an integer >= 1"),
+    "n_accounts": (_is_count, "an integer >= 1"),
+    "n_per_account": (_is_count, "an integer >= 1"),
+    "rho_values": (_is_fraction_list, "a non-empty list of numbers in (0, 1]"),
+    "khat_curve": (lambda value: type(value) is bool, "true or false"),
+}
+
+
 class ConfigError(Exception):
     pass
 
@@ -71,6 +90,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
         if type(trials) is not int or trials < least:
             raise ConfigError(f"trials must be an integer >= {least} for experiment "
                               f"{exp!r}, got {trials!r}")
+    for key, (check, rule) in _KEY_RULES.items():
+        if key in config and not check(config[key]):
+            raise ConfigError(f"{key} must be {rule}, got {config[key]!r}")
     config.setdefault("seed", defaults.EXPERIMENT_SEEDS.get(exp, 0))
     config.setdefault("profile", "paper")
     config.setdefault("out", "out")
@@ -157,7 +179,7 @@ def _run_topk_sweep(config: dict, out_dir: str) -> tuple[list, int]:
 def _run_estimator_calibration(config: dict, out_dir: str) -> tuple[list, int]:
     trials = config.get("trials", 20 if config["profile"] == "smoke" else 200)
     report = estimator.calibrate(trials=trials, seed=config["seed"],
-                                 khat_curve=bool(config.get("khat_curve", False)))
+                                 khat_curve=config.get("khat_curve", False))
     rows = []
     for th in report.theta_grid:
         rows.append([th, report.null_fpr[th], "", "", "", ""])

@@ -84,8 +84,7 @@ class NoiseSeedRecord:
             raise ValueError("sigma must be nonnegative")
 
 
-# coordinate || counter on the way in, the two leading 64-bit words of the
-# digest on the way out
+# coordinate || counter, appended to the hashed prefix
 _U64_PAIR = struct.Struct(">QQ")
 
 
@@ -98,21 +97,28 @@ def derive_noise_block(
     counter mode into 64-bit uniforms fed through Box-Muller; bit-exact
     wherever SHA-256 and IEEE-754 agree. The shared prefix is hashed once
     and its SHA-256 state copied per coordinate.
+
+    Only the hash runs per coordinate in Python. The word-to-float
+    conversion (round-half-even, as Python's int -> float), sqrt and the
+    products are correctly rounded in numpy too; log and cos go through
+    libm's ``math.log``/``math.cos``, because numpy's SIMD versions can
+    differ from libm in the last bit.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     prefix = hashlib.sha256(window_seed + record_digest)
-    pack, unpack = _U64_PAIR.pack, _U64_PAIR.unpack_from
-    log, cos, sqrt, two_pi = math.log, math.cos, math.sqrt, 2.0 * math.pi
-    draws = []
+    pack = _U64_PAIR.pack
+    digests = []
     for coordinate in range(n_coords):
         h = prefix.copy()
         h.update(pack(coordinate, 0))
-        w1, w2 = unpack(h.digest())
-        u1 = (w1 + 0.5) / 2.0**64
-        u2 = (w2 + 0.5) / 2.0**64
-        draws.append(sigma * sqrt(-2.0 * log(u1)) * cos(two_pi * u2))
-    return np.array(draws)
+        digests.append(h.digest())
+    words = np.frombuffer(b"".join(digests), ">u8").reshape(n_coords, 4)[:, :2]
+    u1, u2 = ((words.astype(np.float64) + 0.5) / 2.0**64).T
+    log_u1 = np.fromiter(map(math.log, u1.tolist()), np.float64, n_coords)
+    cos_u2 = np.fromiter(map(math.cos, (2.0 * math.pi * u2).tolist()), np.float64,
+                         n_coords)
+    return sigma * np.sqrt(-2.0 * log_u1) * cos_u2
 
 
 def topk_retrieve(

@@ -363,9 +363,12 @@ class TestIndexRootMemo:
             "witness": "record 15: opened embeddings do not match the tenant's committed root",
         }]
 
-    def test_same_bytes_at_another_shape_get_another_key(self):
+    def test_same_bytes_at_another_shape_are_rebuilt(self, monkeypatch):
         service = make_service(docs=12, d=16)
         serve_window(service)
+        builds = []
+        build = audit.index_root  # the binding verify_record uses
+        monkeypatch.setattr(audit, "index_root", lambda e: builds.append(1) or build(e))
         rec = service.ledger.record(0)
         memo = {}
         assert verify_record(rec, service.commitments, service.policy,
@@ -377,8 +380,53 @@ class TestIndexRootMemo:
         claims = verify_record(reshaped, service.commitments, service.policy,
                                root_memo=memo)
         assert claims["tenant_containment"] != "ok"
-        (shape_a, digest_a), (shape_b, digest_b) = memo
-        assert digest_a == digest_b and {shape_a, shape_b} == {(12, 16), (6, 32)}
+        assert len(builds) == 2
+
+    def test_signed_zero_is_another_opening(self):
+        # -0.0 == 0.0 by value, but the two hash differently: a memo that
+        # compared values would pass the forged opening on the honest root
+        rng = np.random.default_rng(3)
+        vectors = random_unit_vectors(rng, 12, 16)
+        vectors[:, :4] = 0.0
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        indices = [TenantIndex("tenant-a", vectors),
+                   TenantIndex("tenant-b", random_unit_vectors(rng, 12, 16))]
+        service = AuditService(make_policy(), indices, b"\x07" * 32)
+        receipts = serve_window(service)
+
+        def flip_zero(pos, blob):
+            if pos != 1:  # records 0-4 query tenant-a; record 0 stays honest
+                return blob
+            forged = blob.opened_embeddings.copy()
+            assert forged[3, 2] == 0.0 and math.copysign(1.0, forged[3, 2]) == 1.0
+            forged[3, 2] = -0.0
+            return dataclasses.replace(blob, opened_embeddings=forged)
+
+        forged = rewrite_witnesses(service.ledger, flip_zero)
+        assert forged.record(0).tenant_id == forged.record(1).tenant_id == "tenant-a"
+        assert np.array_equal(forged.record(1).attestation.opened_embeddings, vectors)
+        verdict = run_audit(forged, service.commitments, service.policy,
+                            receipts, EST_PARAMS, FULL)
+        assert verdict.witnesses == [{
+            "check": "tenant_containment",
+            "witness": "record 1: opened embeddings do not match the tenant's committed root",
+        }]
+
+    def test_opening_written_in_place_is_rebuilt(self):
+        # every tenant-a record opens the same served array: a memo that
+        # kept a reference to it would still find it equal after the write
+        service = make_service()
+        serve_window(service)
+        rec = service.ledger.record(0)
+        memo = {}
+        assert verify_record(rec, service.commitments, service.policy,
+                             root_memo=memo)["tenant_containment"] == "ok"
+        served = service.indices["tenant-a"].embeddings
+        assert rec.attestation.opened_embeddings is served
+        served[[0, 1]] = served[[1, 0]]
+        claims = verify_record(rec, service.commitments, service.policy, root_memo=memo)
+        assert claims["tenant_containment"] == (
+            "opened embeddings do not match the tenant's committed root")
 
     def test_one_root_build_per_opened_index(self, monkeypatch):
         service = make_service(docs=12)

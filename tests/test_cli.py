@@ -106,6 +106,47 @@ class TestConfigHandling:
                                    "profile": "smoke"}))
         assert run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("experiment,key,value", [
+        ("audit_e2e", "n_queries", 0),
+        ("audit_e2e", "n_queries", 2.5),
+        ("audit_e2e", "n_accounts", 0),
+        ("audit_e2e", "n_accounts", True),
+        ("scalar_sweep", "n_per_account", 0),
+        ("topk_sweep", "n_per_account", "40"),
+        ("external_vs_same", "n_per_account", -1),
+        ("alt_adversaries", "rho_values", [2.0]),
+        ("alt_adversaries", "rho_values", []),
+        ("alt_adversaries", "rho_values", 0.5),
+        ("alt_adversaries", "rho_values", [0.5, 0.0]),
+        ("alt_adversaries", "rho_values", [True]),
+    ])
+    def test_bad_experiment_value_exit_two(self, tmp_path, capsys, experiment, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": experiment, key: value}))
+        out = tmp_path / "out"
+        assert run_cli([experiment, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["no", "false", 0, None])
+    def test_khat_curve_must_be_boolean(self, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "estimator_calibration", "trials": 1,
+                                   "khat_curve": value}))
+        out = tmp_path / "out"
+        assert run_cli(["estimator_calibration", "--config", str(cfg),
+                        "--out", str(out)]) == 2
+        assert "khat_curve must be true or false" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_smallest_audit_window_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "audit_e2e", "n_queries": 1,
+                                   "n_accounts": 1}))
+        assert run_cli(["audit_e2e", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        verdict = json.loads((tmp_path / "verdict.json").read_text())
+        assert verdict["status"] == "PASS"
+
     def test_cross_experiment_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"experiment": "cost_table", "trials": 5}))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collusion_audit import harness as hs
 
@@ -56,6 +58,42 @@ class TestDeriveNoise:
             sigma = float(rng.uniform(0.0, 8.0))
             block = hs.derive_noise_block(seed, digest, 40, sigma)
             assert block.tolist() == [reference_noise(seed, digest, i, sigma) for i in range(40)]
+
+    def test_word_to_float_rounds_as_python(self):
+        # round-half-even boundaries of the uint64 -> float64 conversion,
+        # in a long array too so that vectorised cast loops are covered
+        words = [0, 1, 2**53 - 1, 2**53, 2**53 + 1, 2**53 + 3, 2**54 + 2, 2**54 + 6,
+                 2**62 + 2**9 - 1, 2**62 + 2**9, 2**62 + 2**9 + 1, 2**62 + 3 * 2**9,
+                 2**63 - 1, 2**63, 2**63 + 2**10 - 1, 2**63 + 2**10, 2**63 + 2**10 + 1,
+                 2**63 + 3 * 2**10, 2**64 - 2**11, 2**64 - 2**10 - 1, 2**64 - 2**10,
+                 2**64 - 2**10 + 1, 2**64 - 2, 2**64 - 1]
+        for array in (np.array(words, np.uint64), np.tile(np.array(words, np.uint64), 100)):
+            floats = array.astype(np.float64)
+            assert floats.tolist() == [float(w) for w in array.tolist()]
+            uniforms = (floats + 0.5) / 2.0**64
+            assert uniforms.tolist() == [(w + 0.5) / 2.0**64 for w in array.tolist()]
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_blocks(self, n):
+        seed, digest = b"\x05" * 32, b"\x06" * 32
+        block = hs.derive_noise_block(seed, digest, n, 0.8)
+        assert block.dtype == np.float64 and block.shape == (n,)
+        expected = np.array([reference_noise(seed, digest, i, 0.8) for i in range(n)],
+                            dtype=np.float64)
+        assert block.tobytes() == expected.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.binary(min_size=32, max_size=32),
+           digest=st.binary(min_size=32, max_size=32),
+           n=st.integers(0, 70),
+           sigma=st.one_of(st.just(0.0),
+                           st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False)))
+    def test_block_bits_equal_reference(self, seed, digest, n, sigma):
+        # compared as bytes: value equality would take -0.0 for 0.0
+        block = hs.derive_noise_block(seed, digest, n, sigma)
+        expected = np.array([reference_noise(seed, digest, i, sigma) for i in range(n)],
+                            dtype=np.float64)
+        assert block.tobytes() == expected.tobytes()
 
     def test_scales_linearly_in_sigma(self):
         v1 = hs.derive_noise_block(b"\x01" * 32, b"\x02" * 32, 1, 1.0)[0]
