@@ -56,8 +56,8 @@ class PolicyParams:
 
     ``sigma`` is the per-coordinate noise std in score units. Policies
     built through :meth:`calibrated` carry the noise scale implied by the
-    per-query Gaussian calibration; free-form construction is allowed but
-    flagged via ``is_calibrated``.
+    per-query Gaussian calibration; free-form construction takes any
+    positive sigma.
     """
 
     eps_acc: float
@@ -68,7 +68,6 @@ class PolicyParams:
     delta_policy: float
     window_id: str = "W0"
     delta_gap: float = 1.0
-    is_calibrated: bool = False
 
     def __post_init__(self):
         if self.eps_acc <= 0:
@@ -107,7 +106,6 @@ class PolicyParams:
             delta_policy=delta_policy,
             window_id=window_id,
             delta_gap=delta_gap,
-            is_calibrated=True,
         )
 
 
@@ -354,11 +352,8 @@ def epsilon_audit(
     """
     if headline:
         return math.sqrt(policy.k_max) * policy.eps_acc, policy.delta_policy
+    # positive: PolicyParams refuses delta_policy <= k_max * delta_acc
     delta_comp = policy.delta_policy - policy.k_max * policy.delta_acc
-    # well-formedness is enforced at construction; re-check for callers
-    # composing policies by hand
-    if delta_comp <= 0:
-        raise ValueError("delta_policy must exceed k_max * delta_acc")
     log_acc = math.log(1.0 / policy.delta_acc)
     eps = (
         math.sqrt(policy.k_max)

@@ -66,8 +66,6 @@ class CoalitionConfig:
         if self.adversary == "diversified":
             if self.rho is None or not 0.0 < self.rho <= 1.0:
                 raise ValueError("diversified adversary needs rho in (0, 1]")
-            if math.ceil(self.rho * self.k) < 1:
-                raise ValueError("rho * k must round up to >= 1")
         if self.adversary == "topk_hit" and not 1 <= self.K <= self.n_background:
             raise ValueError("topk_hit needs 1 <= K <= n_background")
 
@@ -87,7 +85,8 @@ class SweepResult:
     mode: str
     adversary: str
     predicted: dict = field(default_factory=dict)
-    stats: dict = field(default_factory=dict)  # (k, eps) -> (in_stats, out_stats)
+    # (k, eps) -> (in_stats, out_stats), each cell's paired trial statistics
+    stats: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -220,7 +219,6 @@ def run_sweep(
     trials: int,
     mode: str,
     master_seed: int = 0,
-    keep_stats: bool = False,
 ) -> SweepResult:
     """T paired trials per (k, eps_acc) cell.
 
@@ -258,8 +256,7 @@ def run_sweep(
                 delta_policy=policy_template.get("delta_policy", 1e-3),
             )
             result.predicted[key] = accounting.auc_prediction(policy, k)
-        if keep_stats:
-            result.stats[key] = (s_in, s_out)
+        result.stats[key] = (s_in, s_out)
     return result
 
 

@@ -13,7 +13,7 @@ Groth16 instantiation of the same relation would cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -114,16 +114,7 @@ class AuditVerdict:
     witnesses: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "eps_audit_headline": self.eps_audit_headline,
-            "eps_audit_full": self.eps_audit_full,
-            "delta_policy": self.delta_policy,
-            "k_max": self.k_max,
-            "checks": dict(self.checks),
-            "sampled": self.sampled,
-            "witnesses": list(self.witnesses),
-        }
+        return asdict(self)
 
 
 def sample_plan(beta: float, eta: float) -> VerificationPlan:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -50,8 +51,11 @@ def _is_fraction_list(value) -> bool:
             and all(type(r) in (int, float) and 0.0 < r <= 1.0 for r in value))
 
 
-# experiment key -> (check, the rule it enforces); trials has its own rule
+# config key -> (check, the rule it enforces), run on the config merged
+# with the flags; trials has its own rule
 _KEY_RULES = {
+    "seed": (lambda value: type(value) is int and value >= 0, "an integer >= 0"),
+    "out": (lambda value: type(value) is str and value != "", "a non-empty string"),
     "n_queries": (_is_count, "an integer >= 1"),
     "n_accounts": (_is_count, "an integer >= 1"),
     "n_per_account": (_is_count, "an integer >= 1"),
@@ -154,13 +158,7 @@ def _run_scalar_sweep(config: dict, out_dir: str) -> tuple[list, int]:
     gates = attacks.check_gates(res)
     gpath = os.path.join(out_dir, "gates.json")
     with open(gpath, "w") as fh:
-        json.dump({
-            "p1_slope": gates.p1_slope, "p1_tstat": gates.p1_tstat,
-            "p1_pass": gates.p1_pass, "p3_pass_count": gates.p3_pass_count,
-            "p3_total": gates.p3_total, "p3_max_dev_se": gates.p3_max_dev_se,
-            "p2_collapse_rms": gates.p2_collapse_rms,
-            "growth_factor": gates.growth_factor,
-        }, fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(gates), fh, indent=2, sort_keys=True)
     return [path, gpath], 0
 
 

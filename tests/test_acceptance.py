@@ -221,10 +221,9 @@ def test_criterion_11_zk_cost_model():
 def test_criterion_12_mode_equivalence():
     cfg = CoalitionConfig(k=5, n_per_account=100)
     full = attacks.run_sweep([(5, 4.0)], cfg, defaults.POLICY_TEMPLATE, 2000,
-                             "full_sim", SEEDS["mode_equivalence"], keep_stats=True)
+                             "full_sim", SEEDS["mode_equivalence"])
     suff = attacks.run_sweep([(5, 4.0)], cfg, defaults.POLICY_TEMPLATE, 2000,
-                             "sufficient_stat", SEEDS["mode_equivalence"] + 1,
-                             keep_stats=True)
+                             "sufficient_stat", SEEDS["mode_equivalence"] + 1)
     cell = (5, 4.0)
     comb = math.sqrt(full.delong_se[cell] ** 2 + suff.delong_se[cell] ** 2)
     assert abs(full.auc[cell] - suff.auc[cell]) <= 2 * comb
@@ -236,10 +235,9 @@ def test_criterion_13_topk_mode_equivalence():
     cfg = CoalitionConfig(k=1, n_per_account=200, adversary="topk_hit")
     cell = (5, 16.0)
     full = attacks.run_sweep([cell], cfg, defaults.POLICY_TEMPLATE, 2000, "full_sim",
-                             SEEDS["mode_equivalence"], keep_stats=True)
+                             SEEDS["mode_equivalence"])
     exact = attacks.run_sweep([cell], cfg, defaults.POLICY_TEMPLATE, 2000,
-                              "sufficient_stat", SEEDS["mode_equivalence"] + 1,
-                              keep_stats=True)
+                              "sufficient_stat", SEEDS["mode_equivalence"] + 1)
     comb = math.sqrt(full.delong_se[cell] ** 2 + exact.delong_se[cell] ** 2)
     assert abs(full.auc[cell] - exact.auc[cell]) <= 2 * comb
     for arm in (0, 1):  # in-arm and out-arm hit counts

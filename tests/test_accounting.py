@@ -17,11 +17,9 @@ class TestPolicyParams:
             acc.PolicyParams(eps_acc=1, delta_acc=1e-6, n_queries=10, sigma=1.0,
                              k_max=100, delta_policy=5e-5)
 
-    def test_free_form_allowed_but_flagged(self):
-        p = acc.PolicyParams(eps_acc=1, delta_acc=1e-6, n_queries=10, sigma=3.0,
-                             k_max=10, delta_policy=1e-3)
-        assert not p.is_calibrated
-        assert make_policy().is_calibrated
+    def test_free_form_allowed(self):
+        acc.PolicyParams(eps_acc=1, delta_acc=1e-6, n_queries=10, sigma=3.0,
+                         k_max=10, delta_policy=1e-3)
 
     def test_domain_errors(self):
         for kwargs in (

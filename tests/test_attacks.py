@@ -122,7 +122,7 @@ class TestRunSweep:
         # per-trial hit counts of a small full_sim sweep, as first recorded
         cfg = CoalitionConfig(k=1, n_per_account=20, adversary="topk_hit")
         res = attacks.run_sweep([(1, 16.0), (5, 4.0)], cfg, defaults.POLICY_TEMPLATE,
-                                20, "full_sim", 3, keep_stats=True)
+                                20, "full_sim", 3)
         h = hashlib.sha256()
         for key in sorted(res.stats):
             for stats in res.stats[key]:
@@ -138,12 +138,10 @@ class TestRunSweep:
     def test_mode_equivalence_small_cell(self):
         cfg = CoalitionConfig(k=5, n_per_account=100)
         full = attacks.run_sweep([(5, 4.0)], cfg, defaults.POLICY_TEMPLATE, 2000,
-                                 "full_sim", defaults.EXPERIMENT_SEEDS["mode_equivalence"],
-                                 keep_stats=True)
+                                 "full_sim", defaults.EXPERIMENT_SEEDS["mode_equivalence"])
         suff = attacks.run_sweep([(5, 4.0)], cfg, defaults.POLICY_TEMPLATE, 2000,
                                  "sufficient_stat",
-                                 defaults.EXPERIMENT_SEEDS["mode_equivalence"] + 1,
-                                 keep_stats=True)
+                                 defaults.EXPERIMENT_SEEDS["mode_equivalence"] + 1)
         key = (5, 4.0)
         comb = math.sqrt(full.delong_se[key] ** 2 + suff.delong_se[key] ** 2)
         assert abs(full.auc[key] - suff.auc[key]) <= 2 * comb
@@ -200,7 +198,7 @@ class TestExactTopk:
     def test_counts_are_integers_in_range(self):
         cfg = CoalitionConfig(k=2, n_per_account=30, adversary="topk_hit")
         res = attacks.run_sweep([(2, 16.0), (5, 4.0)], cfg, defaults.POLICY_TEMPLATE, 300,
-                                "sufficient_stat", 0, keep_stats=True)
+                                "sufficient_stat", 0)
         for (k, _), stats in res.stats.items():
             for s in stats:
                 assert np.all(s == np.round(s))
@@ -213,7 +211,7 @@ class TestExactTopk:
 
         def sweep():
             return attacks.run_sweep([(5, 8.0)], cfg, defaults.POLICY_TEMPLATE, 40,
-                                     "sufficient_stat", 2, keep_stats=True).stats[(5, 8.0)]
+                                     "sufficient_stat", 2).stats[(5, 8.0)]
 
         reference = sweep()
         monkeypatch.setattr(attacks, "_TOPK_BLOCK", block)

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from collusion_audit.estimator import EstimatorParams
 from collusion_audit.harness import NoiseSeedRecord, TenantIndex, random_unit_vectors
 from collusion_audit.ledger import (
     MerkleLedger,
+    issue_receipt,
     load_ledger,
     record_core_digest,
     save_ledger,
@@ -469,6 +471,24 @@ class TestDigestsPinned:
         assert service.ledger.record(0).topk_digest.hex() == (
             "25ce354a8ebe9e749e5917d83d1499dbf7cd7e6136075a25fff03d113d91033f")
 
+    def test_fail_verdict_json(self):
+        # one verdict of the mutation battery, serialised as the CLI writes
+        # verdict.json
+        service = make_service()
+        receipts = serve_window(service, misbehavior="drop_receipted_record")
+        verdict = run_audit(service.ledger, service.commitments, service.policy,
+                            receipts, EST_PARAMS, FULL)
+        assert json.dumps(verdict.to_json_dict(), indent=2, sort_keys=True) == (
+            '{\n  "checks": {\n    "commitment_integrity": "ok",\n'
+            '    "ledger_extension": "ok",\n'
+            '    "receipt_consistency": "non_inclusion_witness: position beyond ledger",\n'
+            '    "record_claims": "ok"\n  },\n  "delta_policy": 1e-05,\n'
+            '  "eps_audit_full": null,\n  "eps_audit_headline": null,\n'
+            '  "k_max": 10,\n  "sampled": null,\n  "status": "FAIL",\n'
+            '  "witnesses": [\n    {\n      "check": "receipt_consistency",\n'
+            '      "witness": "non_inclusion_witness: position beyond ledger"\n'
+            '    }\n  ]\n}')
+
 
 class TestUnusualEstimatorInputs:
     """Valid but unusual windows reach the estimator and get a verdict."""
@@ -531,6 +551,28 @@ CHECKS = set(audit.CLAIMS) | {"commitment_integrity", "ledger_extension",
                               "receipt_consistency", "policy_cap"}
 
 
+# Mutations that leave some receipt pointing off its record: re-signed at
+# another position, with another position's root at issue or with another
+# record's digests, or the ledger cut at the front or the back.
+RECEIPT_MOVES = ("shifted_position", "other_root_at_issue", "other_record_digests",
+                 "front_cut", "back_cut")
+# Mutations every receipt survives, so the window PASSes.
+RECEIPT_SHUFFLES = ("receipts_reordered", "receipt_duplicated")
+# Records re-timestamped: one re-appended, or all reordered.
+RECORD_EDITS = ("record_reappended", "records_reordered")
+
+
+def assert_named_verdict(verdict):
+    """A verdict, and if it FAILs, one witness naming a check."""
+    assert isinstance(verdict, audit.AuditVerdict)
+    assert verdict.status in ("PASS", "FAIL")
+    if verdict.status == "FAIL":
+        (witness,) = verdict.witnesses
+        assert witness["check"] in CHECKS
+        assert isinstance(witness["witness"], str) and witness["witness"]
+        assert verdict.checks[witness["check"]] == witness["witness"]
+
+
 class TestTotality:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), pos=st.integers(0, 14),
@@ -555,13 +597,56 @@ class TestTotality:
         plan = VerificationPlan(mode="sampled", s=1, beta=1.0, eta=0.5) if sampled else FULL
         verdict = run_audit(mutated, service.commitments, service.policy, list(receipts),
                             EST_PARAMS, plan, seed=pos)
-        assert isinstance(verdict, audit.AuditVerdict)
-        assert verdict.status in ("PASS", "FAIL")
-        if verdict.status == "FAIL":
-            (witness,) = verdict.witnesses
-            assert witness["check"] in CHECKS
-            assert isinstance(witness["witness"], str) and witness["witness"]
-            assert verdict.checks[witness["check"]] == witness["witness"]
+        assert_named_verdict(verdict)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(),
+           mutation=st.sampled_from([*RECEIPT_MOVES, *RECEIPT_SHUFFLES, *RECORD_EDITS]),
+           pos=st.integers(0, 14), sampled=st.booleans())
+    def test_mutated_window_gets_a_verdict(self, data, mutation, pos, sampled):
+        service, honest = honest_window()
+        records, receipts = list(service.ledger.records), list(honest)
+        n, pk = len(records), service.public_key
+
+        def resign(record, position, size):
+            # the provider's own key, so the signature check passes
+            return issue_receipt(record, position, service.ledger.root_at(size),
+                                 service.signing_key), pk
+
+        if mutation == "shifted_position":
+            other = data.draw(st.integers(0, n).filter(lambda p: p != pos))
+            receipts[pos] = resign(records[pos], other, pos + 1)
+        elif mutation == "other_root_at_issue":
+            receipts[pos] = resign(records[pos], pos, data.draw(st.integers(0, n).filter(
+                lambda size: size != pos + 1)))
+        elif mutation == "other_record_digests":
+            other = data.draw(st.integers(0, n - 1).filter(lambda p: p != pos))
+            receipts[pos] = resign(records[other], pos, pos + 1)
+        elif mutation == "front_cut":
+            records = records[pos + 1:]
+        elif mutation == "back_cut":
+            records = records[:pos]
+        elif mutation == "receipts_reordered":
+            receipts = data.draw(st.permutations(receipts))
+        elif mutation == "receipt_duplicated":
+            receipts.insert(data.draw(st.integers(0, n)), receipts[pos])
+        elif mutation == "record_reappended":
+            records.append(dataclasses.replace(records[pos],
+                                               timestamp=records[-1].timestamp + 1))
+        else:  # records_reordered, timestamps renumbered so the ledger takes them
+            records = [dataclasses.replace(rec, timestamp=ts) for ts, rec
+                       in enumerate(data.draw(st.permutations(records)), 1)]
+        mutated = MerkleLedger()
+        for rec in records:
+            mutated.append(rec)
+        plan = VerificationPlan(mode="sampled", s=1, beta=1.0, eta=0.5) if sampled else FULL
+        verdict = run_audit(mutated, service.commitments, service.policy, receipts,
+                            EST_PARAMS, plan, seed=pos)
+        assert_named_verdict(verdict)
+        if mutation in RECEIPT_MOVES:
+            assert verdict.witnesses[0]["check"] == "receipt_consistency"
+        elif mutation in RECEIPT_SHUFFLES:
+            assert verdict.status == "PASS"
 
 
 class TestZkCost:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import platform
@@ -119,13 +120,23 @@ class TestConfigHandling:
         ("alt_adversaries", "rho_values", 0.5),
         ("alt_adversaries", "rho_values", [0.5, 0.0]),
         ("alt_adversaries", "rho_values", [True]),
+        ("audit_e2e", "seed", "abc"),
+        ("audit_e2e", "seed", True),
+        ("scalar_sweep", "--seed", "-1"),  # a flag: checked after the merge
+        ("audit_e2e", "out", 5),
+        ("audit_e2e", "out", ""),
     ])
     def test_bad_experiment_value_exit_two(self, tmp_path, capsys, experiment, key, value):
+        flag = key.startswith("--")
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"experiment": experiment, key: value}))
+        cfg.write_text(json.dumps({"experiment": experiment,
+                                   **({} if flag else {key: value})}))
         out = tmp_path / "out"
-        assert run_cli([experiment, "--config", str(cfg), "--out", str(out)]) == 2
-        assert f"{key} must be" in capsys.readouterr().err
+        argv = [experiment, "--config", str(cfg), *([key, value] if flag else [])]
+        if key != "out":
+            argv += ["--out", str(out)]
+        assert run_cli(argv) == 2
+        assert f"{key.lstrip('-')} must be" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["no", "false", 0, None])
@@ -163,6 +174,17 @@ class TestReproducibility:
         assert (a / "scalar_sweep.csv").read_bytes() == (b / "scalar_sweep.csv").read_bytes()
         assert (a / "gates.json").read_bytes() == (b / "gates.json").read_bytes()
         assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
+
+    @pytest.mark.parametrize("experiment,name,digest", [
+        ("audit_e2e", "verdict.json",
+         "f7f205c8cec4358a07865751e79b857afc51ab1defc480b5722d4309852d91e5"),
+        ("scalar_sweep", "gates.json",
+         "316286c2bc71cfcd34288b6a9d2658c65f636cd0f5e5296da415a252ebaf8cb7"),
+    ])
+    def test_smoke_output_pinned(self, tmp_path, experiment, name, digest):
+        # at the shipped seed
+        assert run_cli([experiment, "--out", str(tmp_path), "--profile", "smoke"]) == 0
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
     def test_topk_smoke(self, tmp_path):
         assert run_cli(["topk_sweep", "--out", str(tmp_path),
