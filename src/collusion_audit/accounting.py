@@ -1,11 +1,9 @@
 """Closed-form privacy accounting for coalition leakage.
 
-Everything here is a pure function of its arguments: per-query budget
-calibration, Gaussian noise calibration, advanced composition, the
-coalition bounds (advanced-composition and Renyi routes), a grid-based
-Renyi accountant, membership-inference advantage bounds, the AUC
-prediction for the pooled-mean attack, and the audit epsilon issued on a
-PASS verdict.
+Everything here is a pure function of its arguments: Gaussian noise
+calibration, the coalition bounds (advanced-composition and Renyi
+routes), a grid-based Renyi accountant, the AUC prediction for the
+pooled-mean attack, and the audit epsilon issued on a PASS verdict.
 
 All logarithms are natural. The standard normal CDF is evaluated through
 erfc, accurate to ~1e-15 relative.
@@ -18,22 +16,16 @@ from dataclasses import dataclass, field, replace
 
 __all__ = [
     "PolicyParams",
-    "PerQueryBudget",
     "RdpState",
-    "MiaBounds",
     "JointBound",
     "normal_cdf",
-    "calibrate_per_query",
     "calibrate_sigma",
     "rdp_route_sigma",
-    "advanced_composition",
     "joint_epsilon_upper",
     "joint_epsilon_rdp",
     "rdp_accumulate",
     "rdp_to_dp",
-    "mia_bounds",
     "auc_prediction",
-    "auc_prediction_sigma_form",
     "epsilon_audit",
 ]
 
@@ -110,12 +102,6 @@ class PolicyParams:
 
 
 @dataclass(frozen=True)
-class PerQueryBudget:
-    eps_q: float
-    delta_q: float
-
-
-@dataclass(frozen=True)
 class JointBound:
     """A coalition (epsilon, delta) bound with its leading/residual split."""
 
@@ -129,14 +115,6 @@ class JointBound:
 
 
 @dataclass(frozen=True)
-class MiaBounds:
-    adv_upper: float
-    adv_lower: float
-    auc_prediction: float
-    delta_term: float  # k * delta_acc, reported separately from the tanh term
-
-
-@dataclass(frozen=True)
 class RdpState:
     """Accumulated Renyi divergence on a fixed order grid (value type)."""
 
@@ -146,14 +124,6 @@ class RdpState:
 
     def rho_at(self, alpha: float) -> float:
         return self.rho.get(alpha, 0.0)
-
-
-def calibrate_per_query(policy: PolicyParams) -> PerQueryBudget:
-    """Per-query (eps_q, delta_q) whose n-fold advanced composition meets
-    the per-account budget, with delta_q = delta_acc / n."""
-    eps_acc, delta_acc, n = policy.eps_acc, policy.delta_acc, policy.n_queries
-    eps_q = eps_acc / math.sqrt(2.0 * n * math.log(1.0 / delta_acc))
-    return PerQueryBudget(eps_q=eps_q, delta_q=delta_acc / n)
 
 
 def calibrate_sigma(
@@ -194,30 +164,6 @@ def rdp_route_sigma(
         raise ValueError("eps_acc must be positive")
     _check_delta("delta_acc", delta_acc)
     return delta_gap * math.sqrt(2.0 * n_queries * math.log(1.0 / delta_acc)) / eps_acc
-
-
-def advanced_composition(
-    eps0: float, delta0: float, m: int, delta_slack: float
-) -> tuple[float, float]:
-    """m-fold adaptive composition of (eps0, delta0)-DP mechanisms.
-
-    Returns (eps_total, delta_total) with eps_total =
-    sqrt(2 m ln(1/delta_slack)) eps0 + m eps0 (e^eps0 - 1) and
-    delta_total = m delta0 + delta_slack. Requires eps0 <= 1 (hypothesis
-    of the composition lemma); callers with larger per-step budgets should
-    use the Renyi route.
-    """
-    if not 0.0 < eps0 <= 1.0:
-        raise ValueError("advanced composition requires eps0 in (0, 1]")
-    _check_delta("delta0", delta0)
-    _check_delta("delta_slack", delta_slack)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    eps_total = (
-        math.sqrt(2.0 * m * math.log(1.0 / delta_slack)) * eps0
-        + m * eps0 * (math.exp(eps0) - 1.0)
-    )
-    return eps_total, m * delta0 + delta_slack
 
 
 def joint_epsilon_upper(
@@ -278,40 +224,6 @@ def rdp_to_dp(state: RdpState, delta: float) -> float:
     )
 
 
-def mia_bounds(policy: PolicyParams, k: int) -> MiaBounds:
-    """Membership-inference advantage bounds for a k-coalition.
-
-    The upper bound is tanh of half the composed epsilon (the sqrt(k)
-    shortcut applies when eps_acc <= 1); its additive k*delta_acc term is
-    reported separately. The lower bound is the constructed pooled-mean
-    attack's advantage.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if policy.eps_acc <= 1.0:
-        adv_upper = math.tanh(0.5 * math.sqrt(k) * policy.eps_acc)
-    else:
-        adv_upper = math.tanh(0.5 * joint_epsilon_upper(policy, k).epsilon)
-    delta_q = policy.delta_acc / policy.n_queries
-    adv_lower = (
-        (1.0 / math.sqrt(2.0 * math.pi))
-        * math.sqrt(k)
-        * policy.eps_acc
-        / (
-            4.0
-            * math.sqrt(
-                math.log(1.0 / policy.delta_acc) * math.log(1.25 / delta_q)
-            )
-        )
-    )
-    return MiaBounds(
-        adv_upper=adv_upper,
-        adv_lower=adv_lower,
-        auc_prediction=auc_prediction(policy, k),
-        delta_term=k * policy.delta_acc,
-    )
-
-
 def auc_prediction(policy: PolicyParams, k: int) -> float:
     """Closed-form Mann-Whitney AUC of the pooled-mean attack at coalition
     size k under the calibrated noise scale."""
@@ -328,15 +240,6 @@ def auc_prediction(policy: PolicyParams, k: int) -> float:
         )
     )
     return normal_cdf(z)
-
-
-def auc_prediction_sigma_form(
-    delta_gap: float, sigma: float, k: int, n_queries: int
-) -> float:
-    """Same prediction in mechanism coordinates: Phi(gap sqrt(kn) / (sqrt2 sigma))."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    return normal_cdf(delta_gap * math.sqrt(k * n_queries) / (math.sqrt(2.0) * sigma))
 
 
 def epsilon_audit(

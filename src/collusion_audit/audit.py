@@ -352,7 +352,9 @@ def run_audit(ledger: MerkleLedger, commitments: CommitmentBundle, policy,
 
     # step 4: coalition estimate and policy cap, over the query vectors
     # the receipts bind: every record's witness vector must hash to its
-    # ledger query digest
+    # ledger query digest. The cap bounds non-adaptive coalitions only:
+    # colluders whose probes are pairwise less similar than theta (e.g.
+    # c * target + sqrt(1 - c^2) * orthonormal, c^2 < theta) pass it
     queries = []
     for pos in range(n):
         rec = ledger.record(pos)

@@ -4,24 +4,26 @@ Implements the retrieval service (inner-product scores, per-coordinate
 Gaussian noise added *before* top-K selection) over a tenant's embeddings
 array, with noise derived deterministically from a committed window seed
 so the audit protocol can re-execute every query bit-exactly, plus the
-embedding digest that index commitments and query digests share.
+embedding digest that index commitments and query digests share. The
+noise derivation is named by ``NOISE_DERIVATION`` ("noise-v2": one
+SHAKE-256 stream per record), and the policy commitment binds that name.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import sha256
+from .encoding import canonical, sha256
 
 __all__ = [
     "TenantIndex",
     "NoiseSeedRecord",
     "topk_retrieve",
+    "NOISE_DERIVATION",
     "derive_noise_block",
     "embedding_digest",
     "is_unit_norm",
@@ -84,8 +86,9 @@ class NoiseSeedRecord:
             raise ValueError("sigma must be nonnegative")
 
 
-# coordinate || counter, appended to the hashed prefix
-_U64_PAIR = struct.Struct(">QQ")
+# names the derivation below; ``ledger.policy_commitment`` hashes it into
+# c_policy, so provider and verifier agree on it or the audit FAILs
+NOISE_DERIVATION = "noise-v2"
 
 
 def derive_noise_block(
@@ -93,27 +96,22 @@ def derive_noise_block(
 ) -> np.ndarray:
     """N(0, sigma^2) noise for score coordinates 0..n_coords-1.
 
-    H(seed || record_digest || coordinate_8B_BE || counter) is expanded in
-    counter mode into 64-bit uniforms fed through Box-Muller; bit-exact
-    wherever SHA-256 and IEEE-754 agree. The shared prefix is hashed once
-    and its SHA-256 state copied per coordinate.
+    One SHAKE-256 call over canonical(NOISE_DERIVATION, seed,
+    record_digest) yields 16 * n_coords bytes; coordinate i reads its two
+    big-endian 64-bit words u1, u2 from bytes [16i, 16i + 16), maps each
+    word w to (w + 0.5) / 2**64 and takes the cos branch of Box-Muller.
 
-    Only the hash runs per coordinate in Python. The word-to-float
-    conversion (round-half-even, as Python's int -> float), sqrt and the
-    products are correctly rounded in numpy too; log and cos go through
-    libm's ``math.log``/``math.cos``, because numpy's SIMD versions can
-    differ from libm in the last bit.
+    The word-to-float conversion (round-half-even, as Python's int ->
+    float), sqrt and the products are correctly rounded in numpy. log and
+    cos go through libm's ``math.log``/``math.cos``: numpy picks its SIMD
+    log/cos kernels by CPU feature at run time and they can differ from
+    libm in the last bit, so a numpy transform could give a provider and
+    a verifier on different CPUs different noise.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    prefix = hashlib.sha256(window_seed + record_digest)
-    pack = _U64_PAIR.pack
-    digests = []
-    for coordinate in range(n_coords):
-        h = prefix.copy()
-        h.update(pack(coordinate, 0))
-        digests.append(h.digest())
-    words = np.frombuffer(b"".join(digests), ">u8").reshape(n_coords, 4)[:, :2]
+    stream = hashlib.shake_256(canonical(NOISE_DERIVATION, window_seed, record_digest))
+    words = np.frombuffer(stream.digest(16 * n_coords), ">u8").reshape(n_coords, 2)
     u1, u2 = ((words.astype(np.float64) + 0.5) / 2.0**64).T
     log_u1 = np.fromiter(map(math.log, u1.tolist()), np.float64, n_coords)
     cos_u2 = np.fromiter(map(math.cos, (2.0 * math.pi * u2).tolist()), np.float64,

@@ -33,7 +33,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 
 from .encoding import canonical, hash_fields, sha256
-from .harness import embedding_digest
+from .harness import NOISE_DERIVATION, embedding_digest
 
 __all__ = [
     "CommitmentBundle",
@@ -155,11 +155,11 @@ class CommitmentBundle:
 
 
 def policy_commitment(policy) -> bytes:
-    """H(eps_acc || delta_acc || sigma || k_max || delta_policy || window)
-    in exactly that serialization order."""
+    """H(noise derivation || eps_acc || delta_acc || sigma || k_max ||
+    delta_policy || window) in exactly that serialization order."""
     return hash_fields(
-        policy.eps_acc, policy.delta_acc, policy.sigma, policy.k_max,
-        policy.delta_policy, policy.window_id,
+        NOISE_DERIVATION, policy.eps_acc, policy.delta_acc, policy.sigma,
+        policy.k_max, policy.delta_policy, policy.window_id,
     )
 
 

@@ -14,6 +14,10 @@ public pieces (``noise_then_select``, ``AttestationBlob``, ``QueryRecord``,
 * ``drop_receipted_record`` serves honestly and then rebuilds the ledger
   without its last record, whose account holds a receipt for it.
 
+:func:`orthogonal_probes` is a coalition, not a provider fault: honestly
+served probes that all lean on one target yet sit below the estimator's
+similarity threshold pairwise.
+
 Serve with :func:`attest_query`, then call :func:`publish`, which puts
 the ledger the provider shows the verifier in ``service.ledger``.
 """
@@ -100,3 +104,12 @@ def publish(service, misbehavior=None):
         for rec in service.ledger.records[:-1]:
             rebuilt.append(rec)
         service.ledger = rebuilt
+
+
+def orthogonal_probes(rng, target, n, c):
+    """n unit probes c * target + sqrt(1 - c^2) * u_a, the u_a orthonormal
+    and orthogonal to the unit ``target``: each probe has cosine c with the
+    target and every two probes have cosine exactly c^2. Needs n < d."""
+    d = len(target)
+    basis, _ = np.linalg.qr(np.column_stack([target, rng.standard_normal((d, n))]))
+    return c * target + np.sqrt(1.0 - c * c) * basis[:, 1:].T

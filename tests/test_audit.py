@@ -21,7 +21,7 @@ from collusion_audit.audit import (
     verify_record,
     zk_cost,
 )
-from collusion_audit.encoding import sha256
+from collusion_audit.encoding import hash_fields, sha256
 from collusion_audit.estimator import EstimatorParams
 from collusion_audit.harness import NoiseSeedRecord, TenantIndex, random_unit_vectors
 from collusion_audit.ledger import (
@@ -234,6 +234,70 @@ class TestAdversarialProvider:
                             receipts, EST_PARAMS, FULL)
         assert verdict.status == "FAIL"
         assert verdict.witnesses[0]["check"] == "commitment_integrity"
+
+    def test_noise_derivation_is_committed(self):
+        # a c_policy that does not name the noise derivation (the form
+        # before noise-v2) is another policy, not a silent switch
+        service = make_service()
+        receipts = serve_window(service)
+        p = service.policy
+        untagged = dataclasses.replace(service.commitments, c_policy=hash_fields(
+            p.eps_acc, p.delta_acc, p.sigma, p.k_max, p.delta_policy, p.window_id))
+        verdict = run_audit(service.ledger, untagged, p, receipts, EST_PARAMS, FULL)
+        assert verdict.status == "FAIL"
+        assert verdict.witnesses == [{"check": "commitment_integrity",
+                                      "witness": "policy digest mismatch"}]
+        claims = verify_record(service.ledger.record(0), untagged, p)
+        assert claims["noise_derivation"] == "policy does not match c_policy"
+
+
+class TestAdaptiveCoalition:
+    """``policy_cap`` bounds non-adaptive coalitions only: 20 colluders
+    against k_max = 10, each sending one probe at cosine c = 0.85 to the
+    target, pairwise c^2 = 0.7225 below theta = 0.80. A robust coalition
+    predicate has to turn the xfail into a pass on purpose."""
+
+    def audit(self, colluder_queries):
+        rng = np.random.default_rng(21)
+        service = AuditService(make_policy(n=1, k_max=10),
+                               [TenantIndex("victim", random_unit_vectors(rng, 64, 32))],
+                               b"\x07" * 32)
+        honest = random_unit_vectors(rng, 10, 32)
+        queries = [(f"colluder{a}", q) for a, q in enumerate(colluder_queries)]
+        queries += [(f"honest{a}", q) for a, q in enumerate(honest)]
+        receipts = []
+        for account, q in queries:
+            _, receipt = attest_query(service, q, account, "victim")
+            receipts.append((receipt, service.public_key))
+        return run_audit(service.ledger, service.commitments, service.policy,
+                         receipts, EST_PARAMS, FULL)
+
+    def target(self):
+        return random_unit_vectors(np.random.default_rng(5), 1, 32)[0]
+
+    def test_replayed_target_fails_policy_cap(self):
+        verdict = self.audit([self.target()] * 20)
+        assert verdict.witnesses == [{
+            "check": "policy_cap",
+            "witness": "cluster of 20 accounts exceeds k_max=10"}]
+
+    def probes(self):
+        return adversarial.orthogonal_probes(np.random.default_rng(6), self.target(), 20,
+                                             0.85)
+
+    def test_probes_sit_below_theta(self):
+        probes = self.probes()
+        gram = probes @ probes.T
+        assert np.allclose(np.diag(gram), 1.0)
+        assert np.allclose(gram[~np.eye(20, dtype=bool)], 0.85**2)
+        assert np.allclose(probes @ self.target(), 0.85)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="policy_cap bounds non-adaptive coalitions only")
+    def test_orthogonal_probes_fail_policy_cap(self):
+        verdict = self.audit(self.probes())
+        assert verdict.status == "FAIL"
+        assert verdict.witnesses[0]["check"] == "policy_cap"
 
 
 class TestQueryBinding:
@@ -465,11 +529,11 @@ class TestDigestsPinned:
                 attest_query(service, random_unit_vectors(rng, 1, 16)[0], f"acct{a}",
                              "victim")
         assert service.ledger.root.hex() == (
-            "005894b5b3766059069f9a22217d5114af869160b7e9cff8c844efe00c7e2277")
+            "22a07988fc4c530eb5684a0d8bade876bdca9da1c3bcbfda0b801eb5de6a1a68")
         assert service.commitments.c_idx["victim"].hex() == (
             "46cd31a5d4bf8e9e0bdc5ddf8599581dc336de8eea538d388dc98ebbd47581ed")
         assert service.ledger.record(0).topk_digest.hex() == (
-            "25ce354a8ebe9e749e5917d83d1499dbf7cd7e6136075a25fff03d113d91033f")
+            "5567c3070b10b7d1bf793647b3ca8b37c6358ec53fda4c4a80e555de493a2cd0")
 
     def test_fail_verdict_json(self):
         # one verdict of the mutation battery, serialised as the CLI writes

@@ -1,10 +1,15 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from collusion_audit import harness as hs
 
@@ -13,12 +18,24 @@ def noise_record(sigma=1.0, seed_byte=0, digest_byte=1):
     return hs.NoiseSeedRecord(bytes([seed_byte]) * 32, bytes([digest_byte]) * 32, sigma)
 
 
-def reference_noise(seed, digest, i, sigma):
-    # the draw written out once per coordinate, hashing the full preimage
-    h = hashlib.sha256(seed + digest + i.to_bytes(8, "big") + bytes(8)).digest()
-    u1 = (int.from_bytes(h[:8], "big") + 0.5) / 2.0**64
-    u2 = (int.from_bytes(h[8:16], "big") + 0.5) / 2.0**64
+def _box_muller(word_bytes, sigma):
+    u1 = (int.from_bytes(word_bytes[:8], "big") + 0.5) / 2.0**64
+    u2 = (int.from_bytes(word_bytes[8:16], "big") + 0.5) / 2.0**64
     return sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def reference_noise(seed, digest, i, sigma):
+    # the noise-v2 draw written out once per coordinate: bytes [16i, 16i+16)
+    # of the SHAKE-256 stream over the length-prefixed (tag, seed, digest)
+    preimage = b"".join(len(f).to_bytes(4, "big") + f for f in (b"noise-v2", seed, digest))
+    stream = hashlib.shake_256(preimage).digest(16 * (i + 1))
+    return _box_muller(stream[16 * i:16 * i + 16], sigma)
+
+
+def reference_noise_v1(seed, digest, i, sigma):
+    # the retired noise-v1 draw: one SHA-256 per coordinate
+    return _box_muller(hashlib.sha256(seed + digest + i.to_bytes(8, "big") + bytes(8)).digest(),
+                       sigma)
 
 
 class TestTenantIndex:
@@ -36,13 +53,13 @@ class TestDeriveNoise:
     def test_known_value_is_stable(self):
         # frozen regression value: bit-exact across platforms/runs
         block = hs.derive_noise_block(b"\x00" * 32, b"\x00" * 32, 1, 1.0)
-        assert block[0] == 0.22924439962715076
+        assert block[0] == -1.0486476680507755
 
     def test_known_block_is_stable(self):
         block = hs.derive_noise_block(b"\x01" * 32, b"\x02" * 32, 4096, 1.0)
         assert block.dtype == np.float64 and block.shape == (4096,)
         assert hashlib.sha256(block.astype(">f8").tobytes()).hexdigest() == (
-            "f73996203f24cc80b70224f0c01eaa332e289fc24ca06664990662fee64009f0"
+            "bccf7d4a215c670b2958c564b968a5eed5e0da835469b1b4d90d2ecd09699d04"
         )
 
     @pytest.mark.parametrize("sigma", [0.0, 0.37, 2.0])
@@ -117,6 +134,39 @@ class TestDeriveNoise:
         assert abs(r) < 0.01
         # noise freshness: no duplicate draws
         assert len(np.unique(draws)) == n
+
+    @staticmethod
+    def _draws(derive, n=200_000, chunk=4096):
+        # the layout of test_moments_and_independence
+        seed, draws = b"\x05" * 32, np.empty(n)
+        for start in range(0, n, chunk):
+            m = min(chunk, n - start)
+            draws[start:start + m] = derive(seed, start.to_bytes(32, "big"), m)
+        return draws
+
+    def test_same_law_as_v1(self):
+        # noise-v2 changes the bits, not the law: two-sample KS against the
+        # retired v1 derivation, and each version against N(0, 1)
+        v2 = self._draws(lambda seed, digest, m: hs.derive_noise_block(seed, digest, m, 1.0))
+        v1 = self._draws(lambda seed, digest, m: [reference_noise_v1(seed, digest, i, 1.0)
+                                                  for i in range(m)])
+        assert stats.ks_2samp(v1, v2).pvalue >= 0.01
+        assert stats.kstest(v1, "norm").pvalue >= 0.01
+        assert stats.kstest(v2, "norm").pvalue >= 0.01
+
+    def test_bits_do_not_depend_on_simd_dispatch(self):
+        # numpy picks SIMD kernels by CPU feature at run time; with the
+        # AVX-512 dispatch targets switched off (ignored on a CPU without
+        # them) the block must hash the same
+        code = ("import hashlib; from collusion_audit import harness as hs; "
+                "b = hs.derive_noise_block(b'\\x01' * 32, b'\\x02' * 32, 4096, 1.0); "
+                "print(hashlib.sha256(b.astype('>f8').tobytes()).hexdigest())")
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+                   PYTHONPATH=str(Path(hs.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout.strip()
+        block = hs.derive_noise_block(b"\x01" * 32, b"\x02" * 32, 4096, 1.0)
+        assert out == hashlib.sha256(block.astype(">f8").tobytes()).hexdigest()
 
 
 class TestTopkRetrieve:
