@@ -49,7 +49,7 @@ class PolicyParams:
     ``sigma`` is the per-coordinate noise std in score units. Policies
     built through :meth:`calibrated` carry the noise scale implied by the
     per-query Gaussian calibration; free-form construction takes any
-    positive sigma.
+    positive sigma. ``top_k`` is the K every query is served at.
     """
 
     eps_acc: float
@@ -60,6 +60,7 @@ class PolicyParams:
     delta_policy: float
     window_id: str = "W0"
     delta_gap: float = 1.0
+    top_k: int = 5
 
     def __post_init__(self):
         if self.eps_acc <= 0:
@@ -72,6 +73,8 @@ class PolicyParams:
             raise ValueError("sigma must be positive")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
+        if type(self.top_k) is not int or self.top_k < 1:
+            raise ValueError("top_k must be an integer >= 1")
         if self.delta_policy <= self.k_max * self.delta_acc:
             raise ValueError(
                 "policy ill-formed: delta_policy must exceed k_max * delta_acc"
@@ -87,6 +90,7 @@ class PolicyParams:
         delta_policy: float,
         window_id: str = "W0",
         delta_gap: float = 1.0,
+        top_k: int = 5,
     ) -> "PolicyParams":
         sigma = calibrate_sigma(eps_acc, delta_acc, n_queries, delta_gap)
         return cls(
@@ -98,6 +102,7 @@ class PolicyParams:
             delta_policy=delta_policy,
             window_id=window_id,
             delta_gap=delta_gap,
+            top_k=top_k,
         )
 
 

@@ -28,9 +28,7 @@ from .ledger import (
     commit_phase_a,
     index_root,
     issue_receipt,
-    prove_extension,
     record_core_digest,
-    verify_extension,
     verify_receipt,
 )
 
@@ -82,7 +80,14 @@ class AttestationBlob:
     sigma: float = 0.0
     query_vector: np.ndarray | None = None
     opened_embeddings: np.ndarray | None = None  # full index, in order
-    opened_tenant_id: str = ""
+
+
+def _sample_size(beta: float, eta: float) -> int:
+    """ceil(ln(1/eta)/beta): uniformly sampled records that detect any
+    beta-fraction violation except with probability eta."""
+    if not (0 < beta <= 1 and 0 < eta < 1):
+        raise ValueError("beta in (0, 1] and eta in (0, 1) required")
+    return math.ceil(math.log(1.0 / eta) / beta)
 
 
 @dataclass(frozen=True)
@@ -95,11 +100,8 @@ class VerificationPlan:
     def __post_init__(self):
         if self.mode not in ("full", "sampled"):
             raise ValueError("mode must be full or sampled")
-        if self.mode == "sampled":
-            if not (0 < self.beta <= 1 and 0 < self.eta < 1):
-                raise ValueError("beta in (0, 1] and eta in (0, 1) required")
-            if self.s < math.ceil(math.log(1.0 / self.eta) / self.beta):
-                raise ValueError("sample size below the detection guarantee")
+        if self.mode == "sampled" and self.s < _sample_size(self.beta, self.eta):
+            raise ValueError("sample size below the detection guarantee")
 
 
 @dataclass
@@ -118,12 +120,9 @@ class AuditVerdict:
 
 
 def sample_plan(beta: float, eta: float) -> VerificationPlan:
-    """s = ceil(ln(1/eta)/beta) uniformly sampled records detect any
-    beta-fraction violation except with probability eta."""
-    if not 0.0 < beta <= 1.0 or not 0.0 < eta < 1.0:
-        raise ValueError("beta in (0,1], eta in (0,1) required")
-    s = math.ceil(math.log(1.0 / eta) / beta)
-    return VerificationPlan(mode="sampled", s=s, beta=beta, eta=eta)
+    """The smallest sampled plan that detects any beta-fraction violation
+    except with probability eta."""
+    return VerificationPlan(mode="sampled", s=_sample_size(beta, eta), beta=beta, eta=eta)
 
 
 class AuditService:
@@ -149,9 +148,9 @@ class AuditService:
 
 
 def attest_query(service: AuditService, query: np.ndarray, account_id: str,
-                 tenant_id: str, K: int = 5) -> tuple[QueryRecord, Receipt]:
-    """Serve one query: retrieve with committed-seed noise, append the
-    attested record, and issue a signed receipt."""
+                 tenant_id: str) -> tuple[QueryRecord, Receipt]:
+    """Serve one query: retrieve the policy's top-K with committed-seed
+    noise, append the attested record, and issue a signed receipt."""
     embeddings = service.indices[tenant_id].embeddings
     ts = service.next_timestamp()
     q_digest = embedding_digest(query)
@@ -163,11 +162,11 @@ def attest_query(service: AuditService, query: np.ndarray, account_id: str,
         sigma=noise.sigma,
         query_vector=np.asarray(query, dtype=np.float64),
         opened_embeddings=embeddings,
-        opened_tenant_id=tenant_id,
     )
     record = QueryRecord(
         account_id=account_id, tenant_id=tenant_id, query_digest=q_digest,
-        topk_digest=noise_then_select(embeddings, tenant_id, query, K, noise),
+        topk_digest=noise_then_select(embeddings, tenant_id, query,
+                                      service.policy.top_k, noise),
         timestamp=ts, attestation=blob,
     )
     root, pos = service.ledger.append(record)
@@ -177,11 +176,6 @@ def attest_query(service: AuditService, query: np.ndarray, account_id: str,
 def _real_array(value, ndim: int) -> bool:
     return (isinstance(value, np.ndarray) and value.ndim == ndim
             and value.dtype.kind in "iuf")
-
-
-def _same(witness, expected) -> bool:
-    """witness == expected, for a witness field that may hold any type."""
-    return type(witness) is type(expected) and witness == expected
 
 
 def _opened_index_checks(tenant_id: str, opened: np.ndarray,
@@ -205,12 +199,12 @@ def _opened_index_checks(tenant_id: str, opened: np.ndarray,
 
 
 def verify_record(record: QueryRecord, commitments: CommitmentBundle,
-                  policy, K: int = 5, *,
-                  root_memo: dict | None = None) -> dict:
+                  policy, *, root_memo: dict | None = None) -> dict:
     """Re-execute one record's four claims against the commitments.
 
     The seed, sigma and policy are checked against their commitments; the
-    noise is then derived once, inside the noise-then-select re-execution.
+    noise is then derived once, inside the noise-then-select re-execution
+    at the policy's committed top_k.
     ``root_memo`` holds, per tenant, the last opened index checked and its
     root and unit-norm result, so an audit that passes one dict to every
     call checks each tenant's opening once while it stays bitwise the
@@ -226,7 +220,8 @@ def verify_record(record: QueryRecord, commitments: CommitmentBundle,
 
     # A1: embedder consistency
     result["embedder_consistency"] = (
-        "ok" if _same(blob.embedder_digest, commitments.c_emb)
+        "ok" if isinstance(blob.embedder_digest, bytes)
+        and blob.embedder_digest == commitments.c_emb
         else "embedder digest differs from c_emb"
     )
 
@@ -248,7 +243,7 @@ def verify_record(record: QueryRecord, commitments: CommitmentBundle,
     unmatched = "opened embeddings do not match the tenant's committed root"
     if not _real_array(opened, 2):
         result["tenant_containment"] = "opened embeddings are not an (N, d) array"
-    elif committed is None or not _same(blob.opened_tenant_id, record.tenant_id):
+    elif committed is None:
         result["tenant_containment"] = unmatched
     else:
         root, unit_norm = _opened_index_checks(
@@ -263,9 +258,9 @@ def verify_record(record: QueryRecord, commitments: CommitmentBundle,
         result["noise_then_select"] = (
             "witness query vector is missing or not of the index dimension"
         )
-    elif K > len(opened):
+    elif policy.top_k > len(opened):
         result["noise_then_select"] = (
-            f"K={K} exceeds the opened index of {len(opened)} documents"
+            f"top_k={policy.top_k} exceeds the opened index of {len(opened)} documents"
         )
     elif not unit_norm:
         # sigma is calibrated to unit-norm documents: a scaled index widens
@@ -275,7 +270,7 @@ def verify_record(record: QueryRecord, commitments: CommitmentBundle,
         core = record_core_digest(record.account_id, record.tenant_id,
                                   record.query_digest, record.timestamp)
         noise = NoiseSeedRecord(blob.window_seed, core, policy.sigma)
-        digest = noise_then_select(opened, record.tenant_id, query, K, noise)
+        digest = noise_then_select(opened, record.tenant_id, query, policy.top_k, noise)
         result["noise_then_select"] = (
             "ok" if digest == record.topk_digest
             else "re-executed noise-then-select top-K differs from ledger digest"
@@ -292,12 +287,12 @@ def _fail(verdict: AuditVerdict, check: str, witness: str) -> AuditVerdict:
 
 def run_audit(ledger: MerkleLedger, commitments: CommitmentBundle, policy,
               receipts: list, estimator_params: est_mod.EstimatorParams,
-              plan: VerificationPlan, seed: int = 0, K: int = 5,
+              plan: VerificationPlan, seed: int = 0,
               published_root: bytes | None = None) -> AuditVerdict:
     """Phase D verification: commitments, per-record claims (full or
-    sampled), ledger extension plus receipt consistency, the coalition
-    policy-cap check, then epsilon issuance. Stops at the first witnessed
-    violation.
+    sampled) at the committed top_k, the published root plus receipt
+    consistency, the coalition policy-cap check, then epsilon issuance.
+    Stops at the first witnessed violation.
 
     ``receipts`` is a list of (Receipt, issuer public key) pairs submitted
     by accounts; ``published_root`` is the root the provider advertises
@@ -325,23 +320,19 @@ def run_audit(ledger: MerkleLedger, commitments: CommitmentBundle, policy,
         positions = sorted(rng.choice(n, size=plan.s, replace=False).tolist())
     openings: dict = {}  # tenant id -> last opening checked, its root and unit norm
     for pos in positions:
-        claims = verify_record(ledger.record(pos), commitments, policy, K=K,
+        claims = verify_record(ledger.record(pos), commitments, policy,
                                root_memo=openings)
         for claim, status in claims.items():
             if status != "ok" and not status.startswith("not evaluated"):
                 return _fail(verdict, claim, f"record {pos}: {status}")
     verdict.checks["record_claims"] = "ok"
 
-    # step 3: append-only extension from c_ledger_0 and receipt consistency
-    root = ledger.root if published_root is None else published_root
-    try:
-        proof = prove_extension(commitments.c_ledger_0, root, ledger)
-        extended = verify_extension(commitments.c_ledger_0, root, proof)
-    except ValueError:
-        extended = False
-    if not extended or root != ledger.root:
+    # step 3: the published root is the audited ledger's, and each receipt
+    # matches the root journal at its position; those lookups are what
+    # hold the provider to an append-only history
+    if published_root is not None and published_root != ledger.root:
         return _fail(verdict, "ledger_extension",
-                     "published root is not an append-only extension of c_ledger_0")
+                     "published root is not the audited ledger's root")
     verdict.checks["ledger_extension"] = "ok"
     for receipt, pk in receipts:
         check = verify_receipt(receipt, pk, ledger)

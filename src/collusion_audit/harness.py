@@ -126,8 +126,8 @@ def topk_retrieve(
     every score at ``noise.sigma``, then return the positions of the K
     largest (ties broken toward the lower position)."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    if K > len(embeddings):
-        raise ValueError("K exceeds index size")
+    if not 1 <= K <= len(embeddings):
+        raise ValueError("K must lie in 1..index size")
     scores = embeddings @ np.asarray(query, dtype=np.float64)
     if noise.sigma > 0:
         scores = scores + derive_noise_block(

@@ -144,22 +144,23 @@ class CommitmentBundle:
     c_emb: bytes
     c_idx: dict          # tenant_id -> vector-commitment root
     c_seed: bytes
-    c_ledger_0: bytes
     c_policy: bytes
     published_at: int    # logical timestamp; must precede the window
 
     def __post_init__(self):
-        for name in ("c_emb", "c_seed", "c_ledger_0", "c_policy"):
+        for name in ("c_emb", "c_seed", "c_policy"):
             if len(getattr(self, name)) != 32:
                 raise ValueError(f"{name} must be 32 bytes")
 
 
 def policy_commitment(policy) -> bytes:
-    """H(noise derivation || eps_acc || delta_acc || sigma || k_max ||
-    delta_policy || window) in exactly that serialization order."""
+    """H("policy-v2" || noise derivation || eps_acc || delta_acc || sigma ||
+    k_max || delta_policy || window || top_k) in exactly that serialization
+    order; the tag names this field list."""
     return hash_fields(
-        NOISE_DERIVATION, policy.eps_acc, policy.delta_acc, policy.sigma,
-        policy.k_max, policy.delta_policy, policy.window_id,
+        "policy-v2", NOISE_DERIVATION, policy.eps_acc, policy.delta_acc,
+        policy.sigma, policy.k_max, policy.delta_policy, policy.window_id,
+        policy.top_k,
     )
 
 
@@ -172,7 +173,7 @@ def index_root(embeddings) -> bytes:
 def commit_phase_a(policy, embedder_artifact_digest: bytes, indices: list,
                    window_seed: bytes, published_at: int = 0) -> CommitmentBundle:
     """Pre-window commitments: embedder artifact, per-tenant index roots,
-    hashed window seed, empty ledger root, and the policy digest."""
+    hashed window seed, and the policy digest."""
     if len(window_seed) != 32:
         raise ValueError("window seed must be 32 bytes")
     c_idx = {}
@@ -184,7 +185,6 @@ def commit_phase_a(policy, embedder_artifact_digest: bytes, indices: list,
         c_emb=embedder_artifact_digest,
         c_idx=c_idx,
         c_seed=sha256(window_seed),
-        c_ledger_0=merkle_root([]),
         c_policy=policy_commitment(policy),
         published_at=published_at,
     )
@@ -426,6 +426,9 @@ def verify_receipt(receipt: Receipt, public_key: Ed25519PublicKey,
     at issue is the journal's root at the receipt's position, which one
     append-only tree extends to the current root by construction. Each
     failure mode is a named witness class, never a bare False or an exception."""
+    if not isinstance(receipt, Receipt) or not isinstance(public_key, Ed25519PublicKey):
+        return ReceiptCheck("forgery_witness", "malformed receipt: not a Receipt and an "
+                            f"Ed25519 key: {type(receipt).__name__}, {type(public_key).__name__}")
     pos = receipt.leaf_position
     if not isinstance(receipt.signature, bytes):
         return ReceiptCheck("forgery_witness", "malformed receipt: signature is not bytes")

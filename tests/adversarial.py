@@ -40,11 +40,11 @@ from collusion_audit.ledger import (
 NOISE_FAULTS = {"wrong_sigma": (0.5, 0.5), "select_then_noise": (0.0, 1.0)}
 
 
-def attest_query(service, query, account_id, tenant_id, misbehavior=None, K=5):
+def attest_query(service, query, account_id, tenant_id, misbehavior=None):
     """``audit.attest_query``, except that the misbehaviours in
     ``NOISE_FAULTS`` serve with the wrong noise."""
     if misbehavior not in NOISE_FAULTS:
-        return audit.attest_query(service, query, account_id, tenant_id, K)
+        return audit.attest_query(service, query, account_id, tenant_id)
     served, claimed = (f * service.policy.sigma for f in NOISE_FAULTS[misbehavior])
     embeddings = service.indices[tenant_id].embeddings
     ts = service.next_timestamp()
@@ -53,12 +53,12 @@ def attest_query(service, query, account_id, tenant_id, misbehavior=None, K=5):
     blob = audit.AttestationBlob(
         embedder_digest=service.embedder_digest, window_seed=service.window_seed,
         sigma=claimed, query_vector=np.asarray(query, dtype=np.float64),
-        opened_embeddings=embeddings, opened_tenant_id=tenant_id,
+        opened_embeddings=embeddings,
     )
     record = QueryRecord(
         account_id=account_id, tenant_id=tenant_id, query_digest=q_digest,
         topk_digest=audit.noise_then_select(
-            embeddings, tenant_id, query, K,
+            embeddings, tenant_id, query, service.policy.top_k,
             NoiseSeedRecord(service.window_seed, core, served)),
         timestamp=ts, attestation=blob,
     )
@@ -76,15 +76,17 @@ def rewrite_witnesses(ledger, edit):
     return out
 
 
-def rogue_embedder(service, blob):
-    return dataclasses.replace(blob, embedder_digest=sha256(b"rogue embedder"))
+def rogue_embedder(service, record):
+    return dataclasses.replace(record.attestation,
+                               embedder_digest=sha256(b"rogue embedder"))
 
 
-def cross_tenant_opening(service, blob):
-    """Open the first document of another tenant in place of this
+def cross_tenant_opening(service, record):
+    """Open the first document of another tenant in place of the record's
     tenant's first document."""
-    other = next(t for t in service.indices if t != blob.opened_tenant_id)
+    other = next(t for t in service.indices if t != record.tenant_id)
     foreign = service.indices[other].embeddings[0]
+    blob = record.attestation
     opened = np.vstack([foreign[None, :], blob.opened_embeddings[1:]])
     return dataclasses.replace(blob, opened_embeddings=opened)
 
@@ -96,9 +98,9 @@ WITNESS_FAULTS = {"wrong_embedder_digest": rogue_embedder,
 def publish(service, misbehavior=None):
     """Replace ``service.ledger`` by the ledger the provider publishes."""
     if misbehavior in WITNESS_FAULTS:
-        fault = WITNESS_FAULTS[misbehavior]
-        service.ledger = rewrite_witnesses(service.ledger,
-                                           lambda pos, blob: fault(service, blob))
+        fault, served = WITNESS_FAULTS[misbehavior], service.ledger
+        service.ledger = rewrite_witnesses(
+            served, lambda pos, blob: fault(service, served.record(pos)))
     elif misbehavior == "drop_receipted_record":
         rebuilt = MerkleLedger()
         for rec in service.ledger.records[:-1]:

@@ -75,6 +75,7 @@ class TestPolicyParams:
         for kwargs in (
             dict(eps_acc=0.0), dict(delta_acc=0.0), dict(delta_acc=1.0),
             dict(n_queries=0), dict(sigma=0.0), dict(k_max=0),
+            dict(top_k=0), dict(top_k=3.0), dict(top_k=True),
         ):
             base = dict(eps_acc=1, delta_acc=1e-6, n_queries=10, sigma=1.0,
                         k_max=10, delta_policy=1e-3)

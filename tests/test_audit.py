@@ -23,7 +23,12 @@ from collusion_audit.audit import (
 )
 from collusion_audit.encoding import hash_fields, sha256
 from collusion_audit.estimator import EstimatorParams
-from collusion_audit.harness import NoiseSeedRecord, TenantIndex, random_unit_vectors
+from collusion_audit.harness import (
+    NOISE_DERIVATION,
+    NoiseSeedRecord,
+    TenantIndex,
+    random_unit_vectors,
+)
 from collusion_audit.ledger import (
     MerkleLedger,
     issue_receipt,
@@ -69,6 +74,15 @@ def serve_window(service, n_accounts=3, queries_per_account=5, d=16, seed=1,
 FULL = VerificationPlan(mode="full")
 
 
+def topk_digest(service, rec, K, sigma):
+    """``rec``'s top-K digest re-executed at K and sigma."""
+    core = record_core_digest(rec.account_id, rec.tenant_id, rec.query_digest,
+                              rec.timestamp)
+    return audit.noise_then_select(
+        service.indices[rec.tenant_id].embeddings, rec.tenant_id,
+        rec.attestation.query_vector, K, NoiseSeedRecord(service.window_seed, core, sigma))
+
+
 class TestSamplePlan:
     def test_reference_size(self):
         plan = sample_plan(0.01, 2.0 ** -20)
@@ -83,6 +97,8 @@ class TestSamplePlan:
             sample_plan(0.0, 0.5)
         with pytest.raises(ValueError):
             sample_plan(0.5, 1.0)
+        with pytest.raises(ValueError):
+            VerificationPlan(mode="sampled", s=5, beta=0.0, eta=0.5)
 
     def test_undersized_plan_rejected(self):
         with pytest.raises(ValueError):
@@ -145,6 +161,17 @@ class TestHonestAudit:
         assert verdict.status == "PASS"
         assert verdict.sampled == {"s": 5, "beta": 0.9, "eta": 0.05}
 
+    def test_committed_top_k_is_served_and_verified(self):
+        # no K is passed anywhere: both sides read the policy's top_k
+        service = make_service(policy=PolicyParams.calibrated(1.0, 1e-6, 5, 10, 1e-5,
+                                                              top_k=3))
+        receipts = serve_window(service)
+        rec = service.ledger.record(0)
+        assert rec.topk_digest == topk_digest(service, rec, 3, service.policy.sigma)
+        verdict = run_audit(service.ledger, service.commitments, service.policy,
+                            receipts, EST_PARAMS, FULL)
+        assert verdict.status == "PASS"
+
     def test_reloaded_ledger_fails_with_witness(self, tmp_path):
         # persistence keeps records and roots but not the attestation
         # witnesses, so the claims cannot be re-executed
@@ -188,19 +215,23 @@ class TestAdversarialProvider:
         # the fault is in the serving, not only in the witness
         service = make_service()
         serve_window(service, misbehavior="select_then_noise")
-
-        def topk_digest(rec, sigma):
-            core = record_core_digest(rec.account_id, rec.tenant_id,
-                                      rec.query_digest, rec.timestamp)
-            return audit.noise_then_select(
-                service.indices[rec.tenant_id].embeddings, rec.tenant_id,
-                rec.attestation.query_vector, 5,
-                NoiseSeedRecord(service.window_seed, core, sigma))
-
-        records = service.ledger.records
-        assert all(topk_digest(rec, 0.0) == rec.topk_digest for rec in records)
-        assert any(topk_digest(rec, service.policy.sigma) != rec.topk_digest
+        K, records = service.policy.top_k, service.ledger.records
+        assert all(topk_digest(service, rec, K, 0.0) == rec.topk_digest for rec in records)
+        assert any(topk_digest(service, rec, K, service.policy.sigma) != rec.topk_digest
                    for rec in records)
+
+    def test_top_k_other_than_committed(self):
+        # commits top_k = 5 and serves every query at K = 3
+        service = make_service()
+        committed = service.policy
+        service.policy = dataclasses.replace(committed, top_k=3)
+        receipts = serve_window(service)
+        verdict = run_audit(service.ledger, service.commitments, committed,
+                            receipts, EST_PARAMS, FULL)
+        assert verdict.witnesses == [{
+            "check": "noise_then_select",
+            "witness": "record 0: re-executed noise-then-select top-K differs "
+                       "from ledger digest"}]
 
     def test_inflated_ledger_root(self):
         service = make_service()
@@ -210,6 +241,13 @@ class TestAdversarialProvider:
                             published_root=sha256(b"inflated"))
         assert verdict.status == "FAIL"
         assert verdict.witnesses[0]["check"] == "ledger_extension"
+        # an earlier snapshot of the same ledger is not its root either
+        verdict = run_audit(service.ledger, service.commitments, service.policy,
+                            receipts, EST_PARAMS, FULL,
+                            published_root=service.ledger.root_at(7))
+        assert verdict.witnesses == [{"check": "ledger_extension",
+                                      "witness": "published root is not the audited "
+                                                 "ledger's root"}]
 
     def test_policy_cap_violation(self):
         # 12 colluding accounts replaying one probe against k_max = 10
@@ -237,18 +275,20 @@ class TestAdversarialProvider:
 
     def test_noise_derivation_is_committed(self):
         # a c_policy that does not name the noise derivation (the form
-        # before noise-v2) is another policy, not a silent switch
+        # before noise-v2), or names it but not top_k (the form before
+        # policy-v2), is another policy, not a silent switch
         service = make_service()
         receipts = serve_window(service)
         p = service.policy
-        untagged = dataclasses.replace(service.commitments, c_policy=hash_fields(
-            p.eps_acc, p.delta_acc, p.sigma, p.k_max, p.delta_policy, p.window_id))
-        verdict = run_audit(service.ledger, untagged, p, receipts, EST_PARAMS, FULL)
-        assert verdict.status == "FAIL"
-        assert verdict.witnesses == [{"check": "commitment_integrity",
-                                      "witness": "policy digest mismatch"}]
-        claims = verify_record(service.ledger.record(0), untagged, p)
-        assert claims["noise_derivation"] == "policy does not match c_policy"
+        fields = (p.eps_acc, p.delta_acc, p.sigma, p.k_max, p.delta_policy, p.window_id)
+        for old_form in (fields, (NOISE_DERIVATION, *fields)):
+            old = dataclasses.replace(service.commitments, c_policy=hash_fields(*old_form))
+            verdict = run_audit(service.ledger, old, p, receipts, EST_PARAMS, FULL)
+            assert verdict.status == "FAIL"
+            assert verdict.witnesses == [{"check": "commitment_integrity",
+                                          "witness": "policy digest mismatch"}]
+            claims = verify_record(service.ledger.record(0), old, p)
+            assert claims["noise_derivation"] == "policy does not match c_policy"
 
 
 class TestAdaptiveCoalition:
@@ -385,24 +425,31 @@ class TestMalformedWitness:
         assert verdict.eps_audit_headline is None
 
     def test_k_beyond_the_opened_index(self):
+        # a policy committed to more documents than the index holds
         service = make_service(docs=12)
         serve_window(service)
-        claims = verify_record(service.ledger.record(0), service.commitments,
-                               service.policy, K=13)
-        assert claims["noise_then_select"] == "K=13 exceeds the opened index of 12 documents"
+        policy = dataclasses.replace(service.policy, top_k=13)
+        commitments = dataclasses.replace(service.commitments,
+                                          c_policy=ledger.policy_commitment(policy))
+        claims = verify_record(service.ledger.record(0), commitments, policy)
+        assert claims["noise_then_select"] == (
+            "top_k=13 exceeds the opened index of 12 documents")
 
-    @pytest.mark.parametrize("changes", [
-        {"leaf_position": -1},
-        {"leaf_position": 2 ** 64},
-        {"leaf_position": True},
-        {"signature": "not bytes"},
-        {"account_id": None},
-    ], ids=["negative", "beyond-uint64", "bool", "str-signature", "none-account"])
-    def test_malformed_receipt(self, changes):
+    @pytest.mark.parametrize("submit", [
+        lambda receipt, pk: (dataclasses.replace(receipt, leaf_position=-1), pk),
+        lambda receipt, pk: (dataclasses.replace(receipt, leaf_position=2 ** 64), pk),
+        lambda receipt, pk: (dataclasses.replace(receipt, leaf_position=True), pk),
+        lambda receipt, pk: (dataclasses.replace(receipt, signature="not bytes"), pk),
+        lambda receipt, pk: (dataclasses.replace(receipt, account_id=None), pk),
+        lambda receipt, pk: (None, pk),
+        lambda receipt, pk: (receipt, None),
+        lambda receipt, pk: (receipt, pk.public_bytes_raw()),
+    ], ids=["negative", "beyond-uint64", "bool", "str-signature", "none-account",
+            "none-receipt", "none-key", "bytes-key"])
+    def test_malformed_receipt(self, submit):
         service = make_service()
         receipts = serve_window(service)
-        receipt, pk = receipts[3]
-        receipts[3] = (dataclasses.replace(receipt, **changes), pk)
+        receipts[3] = submit(*receipts[3])
         verdict = run_audit(service.ledger, service.commitments, service.policy,
                             receipts, EST_PARAMS, FULL)
         assert verdict.status == "FAIL"
@@ -421,7 +468,8 @@ class TestIndexRootMemo:
         _, receipt = attest_query(service, q, "acct0", "tenant-a")
         receipts.append((receipt, service.public_key))
         forged = rewrite_witnesses(service.ledger, lambda pos, blob: (
-            adversarial.cross_tenant_opening(service, blob) if pos == 15 else blob))
+            adversarial.cross_tenant_opening(service, service.ledger.record(pos))
+            if pos == 15 else blob))
         verdict = run_audit(forged, service.commitments, service.policy,
                             receipts, EST_PARAMS, FULL)
         assert verdict.witnesses == [{
@@ -534,6 +582,8 @@ class TestDigestsPinned:
             "46cd31a5d4bf8e9e0bdc5ddf8599581dc336de8eea538d388dc98ebbd47581ed")
         assert service.ledger.record(0).topk_digest.hex() == (
             "5567c3070b10b7d1bf793647b3ca8b37c6358ec53fda4c4a80e555de493a2cd0")
+        assert service.commitments.c_policy.hex() == (
+            "562f2bddf0ade7c26e85527c68a10baa0d24257d9d7e7362c3061fc88c346361")
 
     def test_fail_verdict_json(self):
         # one verdict of the mutation battery, serialised as the CLI writes

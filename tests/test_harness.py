@@ -181,6 +181,12 @@ class TestTopkRetrieve:
         with pytest.raises(ValueError):
             hs.topk_retrieve(np.eye(4), np.eye(4)[0], 5, noise_record(1.0))
 
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_k_below_one(self, K):
+        # a slice [:K] would return no position at 0 and N - 1 at -1
+        with pytest.raises(ValueError):
+            hs.topk_retrieve(np.eye(4), np.eye(4)[0], K, noise_record(1.0))
+
     def test_tie_break_lowest_index(self):
         # two identical embeddings, no noise: lower position ranks first
         emb = np.vstack([np.eye(3)[0], np.eye(3)[0], np.eye(3)[1]])

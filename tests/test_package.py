@@ -9,6 +9,8 @@ import collusion_audit
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(collusion_audit.__path__))
 PACKAGE_DIR = Path(collusion_audit.__file__).parent
+TESTS_DIR = Path(__file__).parent
+TEST_MODULES = sorted(p.stem for p in TESTS_DIR.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -41,3 +43,8 @@ def test_unused_import_check_sees_one():
 def test_no_unused_imports(name):
     # MODULES leaves out __init__.py, whose imports are re-exports
     assert unused_imports((PACKAGE_DIR / f"{name}.py").read_text()) == []
+
+
+@pytest.mark.parametrize("name", TEST_MODULES)
+def test_no_unused_imports_in_tests(name):
+    assert unused_imports((TESTS_DIR / f"{name}.py").read_text()) == []
