@@ -3,10 +3,11 @@ coalition policy-cap check, and epsilon issuance.
 
 The attestation backend is *transparent*: witnesses disclose the window
 seed, the query vector, and the opened index embeddings so the verifier
-can re-execute the retrieval bit-exactly. This simulates a trusted
-verifier running the ZK relation; it deliberately does NOT provide
-cryptographic hiding (the hidden-seed semantics survives only as an
-API-surface boundary). The Appendix-style cost model reports what a
+can re-execute the retrieval bit-exactly; all but the query vector is one
+``WindowWitness`` per window, checked once per audit. This simulates a
+trusted verifier running the ZK relation; it deliberately does NOT
+provide cryptographic hiding (the hidden-seed semantics survives only as
+an API-surface boundary). The Appendix-style cost model reports what a
 Groth16 instantiation of the same relation would cost.
 """
 
@@ -33,6 +34,7 @@ from .ledger import (
 )
 
 __all__ = [
+    "WindowWitness",
     "AttestationBlob",
     "VerificationPlan",
     "AuditVerdict",
@@ -65,21 +67,26 @@ def noise_then_select(embeddings: np.ndarray, tenant_id: str, query: np.ndarray,
     return hash_fields("topk", *positions, *(f"{tenant_id}/doc{p}" for p in positions))
 
 
+@dataclass(frozen=True, eq=False)
+class WindowWitness:
+    """The witness every record of one window shares; compared and hashed
+    by identity, so an audit checks each window object once."""
+
+    embedder_digest: bytes
+    window_seed: bytes
+    sigma: float
+    openings: dict  # tenant id -> its (N, d) embeddings, in position order
+
+
 @dataclass(frozen=True)
 class AttestationBlob:
-    """Witness for the four per-query claims (verifier-only surface).
+    """Witness for the four per-query claims (verifier-only surface): the
+    window's witness and the record's own query vector. The noise is not
+    part of it: the verifier re-derives it from the record core, once,
+    inside the noise-then-select re-execution."""
 
-    Neither the noise nor the record core it binds to is part of the
-    witness: the verifier recomputes the core from the ledger record,
-    checks the seed, sigma and policy against the commitments, and then
-    re-derives the noise once, inside the noise-then-select re-execution.
-    """
-
-    embedder_digest: bytes = b""
-    window_seed: bytes = b""
-    sigma: float = 0.0
-    query_vector: np.ndarray | None = None
-    opened_embeddings: np.ndarray | None = None  # full index, in order
+    window: WindowWitness
+    query_vector: np.ndarray
 
 
 def _sample_size(beta: float, eta: float) -> int:
@@ -126,20 +133,23 @@ def sample_plan(beta: float, eta: float) -> VerificationPlan:
 
 
 class AuditService:
-    """Provider-side state for one audit window: policy, committed seed,
-    per-tenant indices, the ledger, and the receipt signing key."""
+    """Provider-side state for one audit window: policy, per-tenant
+    indices, the ledger, the receipt signing key, and the window witness
+    (committed seed, embedder digest, openings) every attested record
+    refers to."""
 
     def __init__(self, policy, indices, window_seed: bytes,
                  embedder_digest: bytes = None, signing_seed: bytes = b"\x01" * 32):
         self.policy = policy
         self.indices = {ix.tenant_id: ix for ix in indices}
-        self.window_seed = window_seed
-        self.embedder_digest = embedder_digest or hash_fields("embedder", "unit-v1")
+        embedder_digest = embedder_digest or hash_fields("embedder", "unit-v1")
         self.signing_key, self.public_key = ledger_mod.generate_test_keypair(signing_seed)
         self.ledger = MerkleLedger()
         self.commitments = commit_phase_a(
-            policy, self.embedder_digest, indices, window_seed, published_at=0
+            policy, embedder_digest, indices, window_seed, published_at=0
         )
+        self.witness = WindowWitness(embedder_digest, window_seed, policy.sigma,
+                                     {t: ix.embeddings for t, ix in self.indices.items()})
         self._clock = 0
 
     def next_timestamp(self) -> int:
@@ -151,23 +161,16 @@ def attest_query(service: AuditService, query: np.ndarray, account_id: str,
                  tenant_id: str) -> tuple[QueryRecord, Receipt]:
     """Serve one query: retrieve the policy's top-K with committed-seed
     noise, append the attested record, and issue a signed receipt."""
-    embeddings = service.indices[tenant_id].embeddings
     ts = service.next_timestamp()
     q_digest = embedding_digest(query)
     core = record_core_digest(account_id, tenant_id, q_digest, ts)
-    noise = NoiseSeedRecord(service.window_seed, core, service.policy.sigma)
-    blob = AttestationBlob(
-        embedder_digest=service.embedder_digest,
-        window_seed=service.window_seed,
-        sigma=noise.sigma,
-        query_vector=np.asarray(query, dtype=np.float64),
-        opened_embeddings=embeddings,
-    )
+    noise = NoiseSeedRecord(service.witness.window_seed, core, service.policy.sigma)
     record = QueryRecord(
         account_id=account_id, tenant_id=tenant_id, query_digest=q_digest,
-        topk_digest=noise_then_select(embeddings, tenant_id, query,
-                                      service.policy.top_k, noise),
-        timestamp=ts, attestation=blob,
+        topk_digest=noise_then_select(service.indices[tenant_id].embeddings, tenant_id,
+                                      query, service.policy.top_k, noise),
+        timestamp=ts, attestation=AttestationBlob(
+            service.witness, np.asarray(query, dtype=np.float64)),
     )
     root, pos = service.ledger.append(record)
     return record, issue_receipt(record, pos, root, service.signing_key)
@@ -178,90 +181,80 @@ def _real_array(value, ndim: int) -> bool:
             and value.dtype.kind in "iuf")
 
 
-def _opened_index_checks(tenant_id: str, opened: np.ndarray,
-                         memo: dict) -> tuple[bytes, bool]:
-    """(``index_root``, ``is_unit_norm``) of a tenant's opened embeddings,
-    taken as the float64 values the retrieval relation runs on.
+def _window_claims(window: WindowWitness, commitments: CommitmentBundle,
+                   policy) -> tuple[str, str]:
+    """A1 (embedder consistency) and A2 (the noise derives from the
+    committed seed at the committed sigma): facts of the window, the same
+    for each of its records."""
+    embedder = ("ok" if isinstance(window.embedder_digest, bytes)
+                and window.embedder_digest == commitments.c_emb
+                else "embedder digest differs from c_emb")
+    if (not isinstance(window.window_seed, bytes)
+            or sha256(window.window_seed) != commitments.c_seed):
+        noise = "witness seed inconsistent with c_seed"
+    elif (not isinstance(window.sigma, (int, float))
+          or not math.isclose(window.sigma, policy.sigma, rel_tol=1e-12)):
+        noise = "witness sigma differs from committed policy"
+    elif ledger_mod.policy_commitment(policy) != commitments.c_policy:
+        noise = "policy does not match c_policy"
+    else:
+        noise = "ok"
+    return embedder, noise
 
-    ``memo`` maps the tenant id to a private copy of the last opening
-    checked for it, as float64 bits, with both results. An opening of the
-    same shape and bits reuses them; any other opening is checked afresh
-    and replaces the entry. Bits, not values: -0.0 equals 0.0 but hashes
-    differently. A copy, not a reference: a reference would still equal
-    itself after an in-place write.
-    """
-    bits = np.ascontiguousarray(opened, dtype=np.float64).view(np.uint64)
-    entry = memo.get(tenant_id)
-    if entry is None or not np.array_equal(entry[0], bits):
-        values = bits.view(np.float64)
-        entry = memo[tenant_id] = (bits.copy(), index_root(values), is_unit_norm(values))
-    return entry[1], entry[2]
+
+def _opening_claims(window: WindowWitness, tenant_id: str,
+                    commitments: CommitmentBundle) -> tuple[str, object, bool]:
+    """A4 for one tenant's opening in the window: (containment claim, the
+    opening, whether the committed root contains it and it is unit-norm)."""
+    openings = window.openings
+    opened = openings.get(tenant_id) if isinstance(openings, dict) else None
+    if not _real_array(opened, 2):
+        return "opened embeddings are not an (N, d) array", None, False
+    committed = commitments.c_idx.get(tenant_id)
+    if committed is None or index_root(opened) != committed:
+        return "opened embeddings do not match the tenant's committed root", opened, False
+    return "ok", opened, is_unit_norm(opened)
 
 
 def verify_record(record: QueryRecord, commitments: CommitmentBundle,
-                  policy, *, root_memo: dict | None = None) -> dict:
-    """Re-execute one record's four claims against the commitments.
-
-    The seed, sigma and policy are checked against their commitments; the
-    noise is then derived once, inside the noise-then-select re-execution
-    at the policy's committed top_k.
-    ``root_memo`` holds, per tenant, the last opened index checked and its
-    root and unit-norm result, so an audit that passes one dict to every
-    call checks each tenant's opening once while it stays bitwise the
-    same; without it the call checks the opening itself.
+                  policy, *, window_checks: dict | None = None) -> dict:
+    """Re-execute one record's four claims against the commitments: the
+    window witness (seed, sigma, policy, embedder, the opening of the
+    record's tenant), then noise-then-select at the committed top_k.
+    ``window_checks`` maps a window to its A1/A2 results and (window,
+    tenant id) to that opening's A4 result and unit norm; one table passed
+    to every call of an audit checks each once. Without it the call
+    checks the window itself.
 
     Returns claim -> "ok" or a short witness string; a malformed witness
     yields a witness, never an exception.
     """
     blob = record.attestation
-    if not isinstance(blob, AttestationBlob):  # e.g. a ledger reloaded from disk
+    # e.g. a ledger reloaded from disk
+    if not isinstance(blob, AttestationBlob) or not isinstance(blob.window, WindowWitness):
         return {claim: "record carries no attestation witness" for claim in CLAIMS}
-    result = {}
-
-    # A1: embedder consistency
-    result["embedder_consistency"] = (
-        "ok" if isinstance(blob.embedder_digest, bytes)
-        and blob.embedder_digest == commitments.c_emb
-        else "embedder digest differs from c_emb"
-    )
-
-    # A2: noise derives from the committed seed at the committed sigma
-    if (not isinstance(blob.window_seed, bytes)
-            or sha256(blob.window_seed) != commitments.c_seed):
-        result["noise_derivation"] = "witness seed inconsistent with c_seed"
-    elif (not isinstance(blob.sigma, (int, float))
-          or not math.isclose(blob.sigma, policy.sigma, rel_tol=1e-12)):
-        result["noise_derivation"] = "witness sigma differs from committed policy"
-    elif ledger_mod.policy_commitment(policy) != commitments.c_policy:
-        result["noise_derivation"] = "policy does not match c_policy"
-    else:
-        result["noise_derivation"] = "ok"
-
-    # A4: openings all come from this tenant's committed index
-    opened = blob.opened_embeddings
-    committed = commitments.c_idx.get(record.tenant_id)
-    unmatched = "opened embeddings do not match the tenant's committed root"
-    if not _real_array(opened, 2):
-        result["tenant_containment"] = "opened embeddings are not an (N, d) array"
-    elif committed is None:
-        result["tenant_containment"] = unmatched
-    else:
-        root, unit_norm = _opened_index_checks(
-            record.tenant_id, opened, {} if root_memo is None else root_memo)
-        result["tenant_containment"] = "ok" if root == committed else unmatched
+    window = blob.window
+    table = {} if window_checks is None else window_checks
+    if window not in table:
+        table[window] = _window_claims(window, commitments, policy)
+    opening = (window, record.tenant_id)
+    if opening not in table:
+        table[opening] = _opening_claims(window, record.tenant_id, commitments)
+    embedder, noise_claim = table[window]
+    containment, opened, unit_norm = table[opening]
+    result = {"embedder_consistency": embedder, "noise_derivation": noise_claim,
+              "tenant_containment": containment}
 
     # A3: noise-then-select re-execution reproduces the published top-K
     query = blob.query_vector
-    if result["noise_derivation"] != "ok" or result["tenant_containment"] != "ok":
+    if noise_claim != "ok" or containment != "ok":
         result["noise_then_select"] = "not evaluated: prerequisite claim failed"
     elif not _real_array(query, 1) or len(query) != opened.shape[1]:
-        result["noise_then_select"] = (
-            "witness query vector is missing or not of the index dimension"
-        )
+        result["noise_then_select"] = ("witness query vector is missing or not of "
+                                       "the index dimension")
     elif policy.top_k > len(opened):
-        result["noise_then_select"] = (
-            f"top_k={policy.top_k} exceeds the opened index of {len(opened)} documents"
-        )
+        result["noise_then_select"] = (f"top_k={policy.top_k} exceeds the opened index "
+                                       f"of {len(opened)} documents")
     elif not unit_norm:
         # sigma is calibrated to unit-norm documents: a scaled index widens
         # the score gap the noise has to hide
@@ -269,7 +262,7 @@ def verify_record(record: QueryRecord, commitments: CommitmentBundle,
     else:
         core = record_core_digest(record.account_id, record.tenant_id,
                                   record.query_digest, record.timestamp)
-        noise = NoiseSeedRecord(blob.window_seed, core, policy.sigma)
+        noise = NoiseSeedRecord(window.window_seed, core, policy.sigma)
         digest = noise_then_select(opened, record.tenant_id, query, policy.top_k, noise)
         result["noise_then_select"] = (
             "ok" if digest == record.topk_digest
@@ -292,7 +285,8 @@ def run_audit(ledger: MerkleLedger, commitments: CommitmentBundle, policy,
     """Phase D verification: commitments, per-record claims (full or
     sampled) at the committed top_k, the published root plus receipt
     consistency, the coalition policy-cap check, then epsilon issuance.
-    Stops at the first witnessed violation.
+    Stops at the first witnessed violation. Each window witness, and each
+    opening a verified record names, is checked once per call.
 
     ``receipts`` is a list of (Receipt, issuer public key) pairs submitted
     by accounts; ``published_root`` is the root the provider advertises
@@ -318,10 +312,10 @@ def run_audit(ledger: MerkleLedger, commitments: CommitmentBundle, policy,
     else:
         rng = np.random.default_rng(seed)
         positions = sorted(rng.choice(n, size=plan.s, replace=False).tolist())
-    openings: dict = {}  # tenant id -> last opening checked, its root and unit norm
+    window_checks: dict = {}  # this audit's only; see verify_record
     for pos in positions:
         claims = verify_record(ledger.record(pos), commitments, policy,
-                               root_memo=openings)
+                               window_checks=window_checks)
         for claim, status in claims.items():
             if status != "ok" and not status.startswith("not evaluated"):
                 return _fail(verdict, claim, f"record {pos}: {status}")

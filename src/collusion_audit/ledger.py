@@ -422,10 +422,11 @@ def issue_receipt(record: QueryRecord, position: int, root: bytes,
 
 def verify_receipt(receipt: Receipt, public_key: Ed25519PublicKey,
                    ledger: MerkleLedger) -> ReceiptCheck:
-    """Check signature, ledger presence, digest equality, and that the root
-    at issue is the journal's root at the receipt's position, which one
-    append-only tree extends to the current root by construction. Each
-    failure mode is a named witness class, never a bare False or an exception."""
+    """Check signature, ledger presence, digest and account equality, and
+    that the root at issue is the journal's root at the receipt's
+    position, which one append-only tree extends to the current root by
+    construction. Each failure mode is a named witness class, never a
+    bare False or an exception."""
     if not isinstance(receipt, Receipt) or not isinstance(public_key, Ed25519PublicKey):
         return ReceiptCheck("forgery_witness", "malformed receipt: not a Receipt and an "
                             f"Ed25519 key: {type(receipt).__name__}, {type(public_key).__name__}")
@@ -446,6 +447,9 @@ def verify_receipt(receipt: Receipt, public_key: Ed25519PublicKey,
     rec = ledger.record(pos)
     if rec.query_digest != receipt.query_digest or rec.topk_digest != receipt.topk_digest:
         return ReceiptCheck("forgery_witness", "ledger record digest mismatch")
+    if rec.account_id != receipt.account_id:
+        # the coalition cap counts the ledger's accounts, not the receipts'
+        return ReceiptCheck("forgery_witness", "ledger record account differs from receipt")
     # the root at issue must be the (pos+1)-prefix snapshot
     if ledger.root_at(pos + 1) != receipt.ledger_root_at_issue:
         return ReceiptCheck("forgery_witness", "root at issue inconsistent with ledger")

@@ -2,15 +2,18 @@
 
 ``audit.AuditService`` and ``audit.attest_query`` serve only honestly.
 The misbehaviours of the mutation battery are built here from the same
-public pieces (``noise_then_select``, ``AttestationBlob``, ``QueryRecord``,
-``MerkleLedger.append`` and ``issue_receipt``):
+public pieces (``noise_then_select``, ``WindowWitness``,
+``AttestationBlob``, ``QueryRecord``, ``MerkleLedger.append`` and
+``issue_receipt``):
 
 * ``wrong_sigma`` serves every query with noise at half the committed
-  sigma and claims that sigma in the witness; ``select_then_noise``
-  selects on clean scores and claims the committed sigma.
+  sigma and claims that sigma in its window witness;
+  ``select_then_noise`` selects on clean scores and claims the committed
+  sigma.
 * ``wrong_embedder_digest`` and ``cross_tenant_opening`` serve honestly
-  and then rewrite every witness. The witness is not part of the ledger
-  leaf, so roots and receipts stay valid.
+  and then publish a forged window witness in every record's place. The
+  witness is not part of the ledger leaf, so roots and receipts stay
+  valid.
 * ``drop_receipted_record`` serves honestly and then rebuilds the ledger
   without its last record, whose account holds a receipt for it.
 
@@ -46,21 +49,17 @@ def attest_query(service, query, account_id, tenant_id, misbehavior=None):
     if misbehavior not in NOISE_FAULTS:
         return audit.attest_query(service, query, account_id, tenant_id)
     served, claimed = (f * service.policy.sigma for f in NOISE_FAULTS[misbehavior])
-    embeddings = service.indices[tenant_id].embeddings
     ts = service.next_timestamp()
     q_digest = embedding_digest(query)
     core = record_core_digest(account_id, tenant_id, q_digest, ts)
-    blob = audit.AttestationBlob(
-        embedder_digest=service.embedder_digest, window_seed=service.window_seed,
-        sigma=claimed, query_vector=np.asarray(query, dtype=np.float64),
-        opened_embeddings=embeddings,
-    )
+    window = dataclasses.replace(service.witness, sigma=claimed)
     record = QueryRecord(
         account_id=account_id, tenant_id=tenant_id, query_digest=q_digest,
         topk_digest=audit.noise_then_select(
-            embeddings, tenant_id, query, service.policy.top_k,
-            NoiseSeedRecord(service.window_seed, core, served)),
-        timestamp=ts, attestation=blob,
+            service.indices[tenant_id].embeddings, tenant_id, query,
+            service.policy.top_k, NoiseSeedRecord(service.witness.window_seed, core, served)),
+        timestamp=ts, attestation=audit.AttestationBlob(
+            window, np.asarray(query, dtype=np.float64)),
     )
     root, pos = service.ledger.append(record)
     return record, issue_receipt(record, pos, root, service.signing_key)
@@ -76,19 +75,20 @@ def rewrite_witnesses(ledger, edit):
     return out
 
 
-def rogue_embedder(service, record):
-    return dataclasses.replace(record.attestation,
-                               embedder_digest=sha256(b"rogue embedder"))
+def rogue_embedder(window):
+    return dataclasses.replace(window, embedder_digest=sha256(b"rogue embedder"))
 
 
-def cross_tenant_opening(service, record):
-    """Open the first document of another tenant in place of the record's
-    tenant's first document."""
-    other = next(t for t in service.indices if t != record.tenant_id)
-    foreign = service.indices[other].embeddings[0]
-    blob = record.attestation
-    opened = np.vstack([foreign[None, :], blob.opened_embeddings[1:]])
-    return dataclasses.replace(blob, opened_embeddings=opened)
+def cross_tenant_opening(window):
+    """Each tenant's opening with its first document swapped for the first
+    document of the next tenant (in the window's order)."""
+    tenants = list(window.openings)
+    openings = {
+        t: np.vstack([window.openings[tenants[(i + 1) % len(tenants)]][:1],
+                      window.openings[t][1:]])
+        for i, t in enumerate(tenants)
+    }
+    return dataclasses.replace(window, openings=openings)
 
 
 WITNESS_FAULTS = {"wrong_embedder_digest": rogue_embedder,
@@ -98,9 +98,9 @@ WITNESS_FAULTS = {"wrong_embedder_digest": rogue_embedder,
 def publish(service, misbehavior=None):
     """Replace ``service.ledger`` by the ledger the provider publishes."""
     if misbehavior in WITNESS_FAULTS:
-        fault, served = WITNESS_FAULTS[misbehavior], service.ledger
+        forged = WITNESS_FAULTS[misbehavior](service.witness)
         service.ledger = rewrite_witnesses(
-            served, lambda pos, blob: fault(service, served.record(pos)))
+            service.ledger, lambda pos, blob: dataclasses.replace(blob, window=forged))
     elif misbehavior == "drop_receipted_record":
         rebuilt = MerkleLedger()
         for rec in service.ledger.records[:-1]:

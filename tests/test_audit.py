@@ -73,14 +73,39 @@ def serve_window(service, n_accounts=3, queries_per_account=5, d=16, seed=1,
 
 FULL = VerificationPlan(mode="full")
 
+BLOB_FIELDS = [f.name for f in dataclasses.fields(audit.AttestationBlob)]
+WINDOW_FIELDS = [f.name for f in dataclasses.fields(audit.WindowWitness)]
+# every field of the witness, and the record's own entry in the openings
+WITNESS_FIELDS = [*BLOB_FIELDS, *WINDOW_FIELDS, "opened_embeddings"]
+
+
+def witness_value(blob, tenant_id, field):
+    """A field of ``blob`` or of its window, or, for "opened_embeddings",
+    the window's opening of ``tenant_id``."""
+    if field == "opened_embeddings":
+        return blob.window.openings[tenant_id]
+    return getattr(blob.window if field in WINDOW_FIELDS else blob, field)
+
+
+def edit_witness(blob, tenant_id, field, value):
+    """``blob`` with ``field`` (as :func:`witness_value` reads it) set to
+    ``value``; a window edit makes a new window, which the other records
+    of the window do not share."""
+    if field == "opened_embeddings":
+        field, value = "openings", {**blob.window.openings, tenant_id: value}
+    if field in WINDOW_FIELDS:
+        return dataclasses.replace(blob, window=dataclasses.replace(
+            blob.window, **{field: value}))
+    return dataclasses.replace(blob, **{field: value})
+
 
 def topk_digest(service, rec, K, sigma):
     """``rec``'s top-K digest re-executed at K and sigma."""
     core = record_core_digest(rec.account_id, rec.tenant_id, rec.query_digest,
                               rec.timestamp)
     return audit.noise_then_select(
-        service.indices[rec.tenant_id].embeddings, rec.tenant_id,
-        rec.attestation.query_vector, K, NoiseSeedRecord(service.window_seed, core, sigma))
+        service.indices[rec.tenant_id].embeddings, rec.tenant_id, rec.attestation.query_vector,
+        K, NoiseSeedRecord(service.witness.window_seed, core, sigma))
 
 
 class TestSamplePlan:
@@ -264,6 +289,25 @@ class TestAdversarialProvider:
         assert verdict.witnesses[0]["check"] == "policy_cap"
         assert "12" in verdict.witnesses[0]["witness"]
 
+    def test_coalition_recorded_under_one_account(self):
+        # the 12 colluders above, all recorded under acct0 so the cap sees
+        # one account, each handed a receipt signed under its own id
+        service = make_service(policy=make_policy(n=1, k_max=10))
+        probe = random_unit_vectors(np.random.default_rng(9), 1, 16)[0]
+        receipts = []
+        for a in range(12):
+            record, receipt = attest_query(service, probe, "acct0", "tenant-a")
+            relabelled = issue_receipt(dataclasses.replace(record, account_id=f"colluder{a}"),
+                                       receipt.leaf_position, receipt.ledger_root_at_issue,
+                                       service.signing_key)
+            receipts.append((relabelled, service.public_key))
+        verdict = run_audit(service.ledger, service.commitments, service.policy,
+                            receipts, EST_PARAMS, FULL)
+        assert verdict.witnesses == [{
+            "check": "receipt_consistency",
+            "witness": "forgery_witness: ledger record account differs from receipt"}]
+        assert verdict.eps_audit_headline is None
+
     def test_wrong_policy_commitment(self):
         service = make_service()
         receipts = serve_window(service)
@@ -392,10 +436,13 @@ class TestMalformedWitness:
          "witness seed inconsistent with c_seed"),
     ])
     def test_run_audit_names_the_claim(self, field, value, check, witness):
+        # record 4 alone refers to the edited witness; for a window field
+        # that is a forged window, the other records keep the served one
         service = make_service()
         receipts = serve_window(service)
+        tenant = service.ledger.record(4).tenant_id
         broken = rewrite_witnesses(service.ledger, lambda pos, blob: (
-            dataclasses.replace(blob, **{field: value}) if pos == 4 else blob))
+            edit_witness(blob, tenant, field, value) if pos == 4 else blob))
         claims = verify_record(broken.record(4), service.commitments, service.policy)
         assert claims[check] == witness
         verdict = run_audit(broken, service.commitments, service.policy,
@@ -459,17 +506,21 @@ class TestMalformedWitness:
 
 
 class TestIndexRootMemo:
+    """An audit checks each window witness once and each tenant opening
+    once, when a verified record names it; a forged window is another
+    object and gets its own check."""
+
     def test_forged_opening_after_honest_records(self):
-        # the memo already holds tenant-a's honest root when the forged
-        # opening is checked; its own buffer must still be rebuilt
+        # tenant-a's opening in the served window is already checked when
+        # record 15's forged window is reached; it must be checked too
         service = make_service()
         receipts = serve_window(service)
         q = random_unit_vectors(np.random.default_rng(5), 1, 16)[0]
         _, receipt = attest_query(service, q, "acct0", "tenant-a")
         receipts.append((receipt, service.public_key))
+        window = adversarial.cross_tenant_opening(service.witness)
         forged = rewrite_witnesses(service.ledger, lambda pos, blob: (
-            adversarial.cross_tenant_opening(service, service.ledger.record(pos))
-            if pos == 15 else blob))
+            dataclasses.replace(blob, window=window) if pos == 15 else blob))
         verdict = run_audit(forged, service.commitments, service.policy,
                             receipts, EST_PARAMS, FULL)
         assert verdict.witnesses == [{
@@ -477,27 +528,8 @@ class TestIndexRootMemo:
             "witness": "record 15: opened embeddings do not match the tenant's committed root",
         }]
 
-    def test_same_bytes_at_another_shape_are_rebuilt(self, monkeypatch):
-        service = make_service(docs=12, d=16)
-        serve_window(service)
-        builds = []
-        build = audit.index_root  # the binding verify_record uses
-        monkeypatch.setattr(audit, "index_root", lambda e: builds.append(1) or build(e))
-        rec = service.ledger.record(0)
-        memo = {}
-        assert verify_record(rec, service.commitments, service.policy,
-                             root_memo=memo)["tenant_containment"] == "ok"
-        blob = rec.attestation
-        reshaped = dataclasses.replace(
-            rec, attestation=dataclasses.replace(
-                blob, opened_embeddings=blob.opened_embeddings.reshape(6, 32)))
-        claims = verify_record(reshaped, service.commitments, service.policy,
-                               root_memo=memo)
-        assert claims["tenant_containment"] != "ok"
-        assert len(builds) == 2
-
     def test_signed_zero_is_another_opening(self):
-        # -0.0 == 0.0 by value, but the two hash differently: a memo that
+        # -0.0 == 0.0 by value, but the two hash differently: a check that
         # compared values would pass the forged opening on the honest root
         rng = np.random.default_rng(3)
         vectors = random_unit_vectors(rng, 12, 16)
@@ -507,40 +539,24 @@ class TestIndexRootMemo:
                    TenantIndex("tenant-b", random_unit_vectors(rng, 12, 16))]
         service = AuditService(make_policy(), indices, b"\x07" * 32)
         receipts = serve_window(service)
+        opening = vectors.copy()
+        assert opening[3, 2] == 0.0 and math.copysign(1.0, opening[3, 2]) == 1.0
+        opening[3, 2] = -0.0
+        assert np.array_equal(opening, vectors)
 
         def flip_zero(pos, blob):
             if pos != 1:  # records 0-4 query tenant-a; record 0 stays honest
                 return blob
-            forged = blob.opened_embeddings.copy()
-            assert forged[3, 2] == 0.0 and math.copysign(1.0, forged[3, 2]) == 1.0
-            forged[3, 2] = -0.0
-            return dataclasses.replace(blob, opened_embeddings=forged)
+            return edit_witness(blob, "tenant-a", "opened_embeddings", opening)
 
         forged = rewrite_witnesses(service.ledger, flip_zero)
         assert forged.record(0).tenant_id == forged.record(1).tenant_id == "tenant-a"
-        assert np.array_equal(forged.record(1).attestation.opened_embeddings, vectors)
         verdict = run_audit(forged, service.commitments, service.policy,
                             receipts, EST_PARAMS, FULL)
         assert verdict.witnesses == [{
             "check": "tenant_containment",
             "witness": "record 1: opened embeddings do not match the tenant's committed root",
         }]
-
-    def test_opening_written_in_place_is_rebuilt(self):
-        # every tenant-a record opens the same served array: a memo that
-        # kept a reference to it would still find it equal after the write
-        service = make_service()
-        serve_window(service)
-        rec = service.ledger.record(0)
-        memo = {}
-        assert verify_record(rec, service.commitments, service.policy,
-                             root_memo=memo)["tenant_containment"] == "ok"
-        served = service.indices["tenant-a"].embeddings
-        assert rec.attestation.opened_embeddings is served
-        served[[0, 1]] = served[[1, 0]]
-        claims = verify_record(rec, service.commitments, service.policy, root_memo=memo)
-        assert claims["tenant_containment"] == (
-            "opened embeddings do not match the tenant's committed root")
 
     def test_one_root_build_per_opened_index(self, monkeypatch):
         service = make_service(docs=12)
@@ -554,9 +570,24 @@ class TestIndexRootMemo:
         assert verdict.status == "PASS"
         assert len(calls) == 2 * 12
         calls.clear()
-        for pos in range(len(service.ledger)):  # no memo: one build per call
+        for pos in range(len(service.ledger)):  # no table: one build per call
             verify_record(service.ledger.record(pos), service.commitments, service.policy)
         assert len(calls) == 15 * 12
+
+    def test_one_seed_hash_and_policy_digest_per_window(self, monkeypatch):
+        service = make_service()
+        receipts = serve_window(service)  # 15 records, one window
+        seed, seed_hashes, policy_digests = service.witness.window_seed, [], []
+        sha, commit = audit.sha256, ledger.policy_commitment  # the bindings audit uses
+        monkeypatch.setattr(audit, "sha256", lambda data: (
+            seed_hashes.append(1) if data == seed else None) or sha(data))
+        monkeypatch.setattr(ledger, "policy_commitment",
+                            lambda p: policy_digests.append(1) or commit(p))
+        verdict = run_audit(service.ledger, service.commitments, service.policy,
+                            receipts, EST_PARAMS, FULL)
+        assert verdict.status == "PASS"
+        assert len(seed_hashes) == 1
+        assert len(policy_digests) == 2  # run_audit's step 1, then the window's check
 
 
 class TestDigestsPinned:
@@ -652,7 +683,6 @@ def replacements(value) -> list:
     return out
 
 
-WITNESS_FIELDS = [f.name for f in dataclasses.fields(audit.AttestationBlob)]
 # Values of the wrong type cannot be put in a ledger (the leaf hash has no
 # encoding for them), so record fields get other values of their type.
 RECORD_VALUES = {
@@ -666,10 +696,11 @@ CHECKS = set(audit.CLAIMS) | {"commitment_integrity", "ledger_extension",
 
 
 # Mutations that leave some receipt pointing off its record: re-signed at
-# another position, with another position's root at issue or with another
-# record's digests, or the ledger cut at the front or the back.
+# another position, with another position's root at issue, with another
+# record's digests or with another record's account, or the ledger cut at
+# the front or the back.
 RECEIPT_MOVES = ("shifted_position", "other_root_at_issue", "other_record_digests",
-                 "front_cut", "back_cut")
+                 "other_account", "front_cut", "back_cut")
 # Mutations every receipt survives, so the window PASSes.
 RECEIPT_SHUFFLES = ("receipts_reordered", "receipt_duplicated")
 # Records re-timestamped: one re-appended, or all reordered.
@@ -701,10 +732,10 @@ class TestTotality:
             rec = dataclasses.replace(rec, attestation=data.draw(
                 st.sampled_from(replacements(None))))
         else:
-            value = getattr(rec.attestation, field)
-            blob = dataclasses.replace(rec.attestation, **{field: data.draw(
-                st.sampled_from(replacements(value)))})
-            rec = dataclasses.replace(rec, attestation=blob)
+            value = witness_value(rec.attestation, rec.tenant_id, field)
+            rec = dataclasses.replace(rec, attestation=edit_witness(
+                rec.attestation, rec.tenant_id, field,
+                data.draw(st.sampled_from(replacements(value)))))
         mutated = MerkleLedger()
         for i, old in enumerate(service.ledger.records):
             mutated.append(rec if i == pos else old)
@@ -736,6 +767,11 @@ class TestTotality:
         elif mutation == "other_record_digests":
             other = data.draw(st.integers(0, n - 1).filter(lambda p: p != pos))
             receipts[pos] = resign(records[other], pos, pos + 1)
+        elif mutation == "other_account":
+            account = data.draw(st.sampled_from(sorted(
+                {r.account_id for r in records} - {records[pos].account_id})))
+            receipts[pos] = resign(dataclasses.replace(records[pos], account_id=account),
+                                   pos, pos + 1)
         elif mutation == "front_cut":
             records = records[pos + 1:]
         elif mutation == "back_cut":

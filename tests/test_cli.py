@@ -165,6 +165,27 @@ class TestConfigHandling:
                         "--out", str(tmp_path)]) == 2
 
 
+class TestOutputErrors:
+    """An output path the CLI cannot write exits 2 with one error line:
+    exit 1 means an audit FAIL."""
+
+    def test_out_is_an_existing_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run_cli(["epsilon_table", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_figure_out_in_a_missing_directory(self, tmp_path, capsys):
+        src = tmp_path / "empty.csv"
+        src.write_text("theta,null_fpr,pattern,k_true,mean_khat,tpr\n")
+        dst = tmp_path / "absent" / "fig3a.csv"
+        assert run_cli(["regen-figure", "--results", str(src),
+                        "--figure", "fig3a", "--out", str(dst)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestReproducibility:
     def test_smoke_sweep_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -48,3 +48,37 @@ def test_no_unused_imports(name):
 @pytest.mark.parametrize("name", TEST_MODULES)
 def test_no_unused_imports_in_tests(name):
     assert unused_imports((TESTS_DIR / f"{name}.py").read_text()) == []
+
+
+def unread_private_names(source: str) -> list:
+    """(line, name) for every module-level ``_name`` (a def, a class, an
+    assignment or an import) that the module never reads; dunders such
+    as ``__all__`` are exempt."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [(n.lineno, n.id) for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [(line, name) for line, name in bound
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+            and name not in read]
+
+
+def test_private_name_check_sees_one():
+    source = ("import os as _os\n_A, B = 1, 2\n_C: int = 3\n__all__ = []\n"
+              "def _f():\n    return _A\nclass _K:\n    pass\n_K()\n")
+    assert unread_private_names(source) == [(1, "_os"), (3, "_C"), (5, "_f")]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_private_names_are_read(name):
+    # a private helper nothing reads is dead code the module still carries
+    assert unread_private_names((PACKAGE_DIR / f"{name}.py").read_text()) == []
