@@ -49,7 +49,7 @@ class PolicyParams:
     ``sigma`` is the per-coordinate noise std in score units. Policies
     built through :meth:`calibrated` carry the noise scale implied by the
     per-query Gaussian calibration; free-form construction takes any
-    positive sigma. ``top_k`` is the K every query is served at.
+    positive finite sigma. ``top_k`` is the K every query is served at.
     """
 
     eps_acc: float
@@ -63,14 +63,14 @@ class PolicyParams:
     top_k: int = 5
 
     def __post_init__(self):
-        if self.eps_acc <= 0:
-            raise ValueError("eps_acc must be positive")
+        if not 0.0 < self.eps_acc < math.inf:
+            raise ValueError("eps_acc must be positive and finite")
         _check_delta("delta_acc", self.delta_acc)
         _check_delta("delta_policy", self.delta_policy)
         if self.n_queries < 1:
             raise ValueError("n_queries must be >= 1")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
         if type(self.top_k) is not int or self.top_k < 1:

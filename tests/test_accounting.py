@@ -73,8 +73,9 @@ class TestPolicyParams:
 
     def test_domain_errors(self):
         for kwargs in (
-            dict(eps_acc=0.0), dict(delta_acc=0.0), dict(delta_acc=1.0),
-            dict(n_queries=0), dict(sigma=0.0), dict(k_max=0),
+            dict(eps_acc=0.0), dict(eps_acc=math.nan), dict(eps_acc=math.inf),
+            dict(delta_acc=0.0), dict(delta_acc=1.0), dict(n_queries=0),
+            dict(sigma=0.0), dict(sigma=math.nan), dict(sigma=math.inf), dict(k_max=0),
             dict(top_k=0), dict(top_k=3.0), dict(top_k=True),
         ):
             base = dict(eps_acc=1, delta_acc=1e-6, n_queries=10, sigma=1.0,

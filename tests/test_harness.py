@@ -38,6 +38,33 @@ def reference_noise_v1(seed, digest, i, sigma):
                        sigma)
 
 
+def reference_topk(embeddings, query, K, noise):
+    # the full path: noise every score with derive_noise_block, then take
+    # the first K of a stable sort
+    scores = np.asarray(embeddings, dtype=np.float64) @ np.asarray(query, dtype=np.float64)
+    if noise.sigma > 0:
+        scores = scores + hs.derive_noise_block(noise.window_seed, noise.query_record_digest,
+                                                len(scores), noise.sigma)
+    return tuple(int(i) for i in np.argsort(-scores, kind="stable")[:K])
+
+
+def dispatch_digests():
+    # the 4096-coordinate noise block, and the top K over a fixed battery
+    # of index sizes, sigmas and K, each as a SHA-256 hex digest
+    block = hs.derive_noise_block(b"\x01" * 32, b"\x02" * 32, 4096, 1.0)
+    rng = np.random.default_rng(2024)
+    tops = []
+    for n in (70, 257, 2000, 5000):
+        emb = hs.random_unit_vectors(rng, n, 32)
+        for sigma in (1e-12, 1.0, 30.0, 1e6):
+            for K in (1, 5, 10):
+                query = hs.random_unit_vectors(rng, 1, 32)[0]
+                noise = hs.NoiseSeedRecord(rng.bytes(32), rng.bytes(32), sigma)
+                tops.append(hs.topk_retrieve(emb, query, K, noise))
+    return (hashlib.sha256(block.astype(">f8").tobytes()).hexdigest(),
+            hashlib.sha256(repr(tops).encode()).hexdigest())
+
+
 class TestTenantIndex:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
@@ -157,16 +184,33 @@ class TestDeriveNoise:
     def test_bits_do_not_depend_on_simd_dispatch(self):
         # numpy picks SIMD kernels by CPU feature at run time; with the
         # AVX-512 dispatch targets switched off (ignored on a CPU without
-        # them) the block must hash the same
-        code = ("import hashlib; from collusion_audit import harness as hs; "
-                "b = hs.derive_noise_block(b'\\x01' * 32, b'\\x02' * 32, 4096, 1.0); "
-                "print(hashlib.sha256(b.astype('>f8').tobytes()).hexdigest())")
+        # them) the noise block must hash the same, and so must the top K
+        # over a battery, whose candidate filter reads numpy's log/cos
+        code = "import test_harness as t; print(*t.dispatch_digests())"
+        path = os.pathsep.join([str(Path(hs.__file__).parents[1]), str(Path(__file__).parent)])
         env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
-                   PYTHONPATH=str(Path(hs.__file__).parents[1]))
+                   PYTHONPATH=path)
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True).stdout.strip()
-        block = hs.derive_noise_block(b"\x01" * 32, b"\x02" * 32, 4096, 1.0)
-        assert out == hashlib.sha256(block.astype(">f8").tobytes()).hexdigest()
+                             text=True, check=True).stdout.split()
+        assert out == list(dispatch_digests())
+
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_sigma(self, sigma):
+        with pytest.raises(ValueError):
+            hs.derive_noise_block(b"\x01" * 32, b"\x02" * 32, 4, sigma)
+        with pytest.raises(ValueError):
+            noise_record(sigma)
+
+    @pytest.mark.parametrize("sigma", [1e-12, 1.0, 1e6])
+    def test_estimate_error_far_inside_slack(self, sigma):
+        # the candidate filter of topk_retrieve assumes numpy's log/cos
+        # estimate of the noise lies within slack (at least 1e-9 * sigma) of
+        # the libm values; pin a margin of 10**6 on top of that
+        seed, digest = b"\x07" * 32, b"\x08" * 32
+        u1, u2 = hs._uniforms(seed, digest, 100_000)
+        error = np.abs(hs._box_muller_estimate(u1, u2, sigma)
+                       - hs.derive_noise_block(seed, digest, 100_000, sigma))
+        assert error.max() <= 1e-6 * hs._SLACK * sigma
 
 
 class TestTopkRetrieve:
@@ -210,3 +254,27 @@ class TestTopkRetrieve:
         q = hs.random_unit_vectors(rng, 1, 6)[0]
         a = hs.topk_retrieve(emb, q, 4, noise_record(2.0))
         assert hs.topk_retrieve(emb, q, 4, noise_record(2.0)) == a
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(),
+           n=st.integers(1, 3000),
+           d=st.integers(1, 8),
+           rng_seed=st.integers(0, 2**32 - 1),
+           duplicates=st.booleans(),
+           scale=st.sampled_from([1.0, 1e6]),
+           sigma=st.sampled_from([0.0, 1e-12, 1.0, 30.0, 1e6]),
+           special=st.sampled_from([None, math.nan, math.inf, -math.inf]))
+    def test_equals_full_noise_then_stable_sort(self, data, n, d, rng_seed, duplicates, scale,
+                                                 sigma, special):
+        # duplicate rows tie exactly at sigma 0, and also under noise when
+        # the scores are so large (scale 1e6) that sigma 1e-12 rounds away
+        K = data.draw(st.integers(1, min(n, 10)), label="K")
+        rng = np.random.default_rng(rng_seed)
+        emb = hs.random_unit_vectors(rng, n, d)
+        if duplicates:
+            emb = emb[rng.integers(0, n // 4 + 1, n)]  # each row one of n // 4 + 1
+        query = scale * hs.random_unit_vectors(rng, 1, d)[0]
+        if special is not None:
+            query[rng.integers(0, d)] = special
+        noise = hs.NoiseSeedRecord(rng.bytes(32), rng.bytes(32), sigma)
+        assert hs.topk_retrieve(emb, query, K, noise) == reference_topk(emb, query, K, noise)
