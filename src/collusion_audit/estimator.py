@@ -12,16 +12,26 @@ account population against three collusion patterns:
 
 The threshold graph is built one block of Gram rows at a time over the
 upper triangle (``_gram_blocks``), keeping only the edges, so n queries
-take O(n^2 d) time but O(_BLOCK_ROWS * n + edges) memory; components come
-from scipy's connected_components on the edge list.
+take O(n^2 d) time but O(_BLOCK_ROWS * n + edges) memory; a block's
+edges are read with one flat nonzero over its thresholded cosines, split
+into (row, col) by divmod. Components come from scipy's
+connected_components on the edge list.
 
 Calibration exploits the structure of the patterns for speed: detection
 at threshold theta is equivalent to the maximum cross-account cosine
 reaching theta, P-C connectivity follows from the intents each account
 drew, and P-B connectivity usually from an angle bound, so the generic
 estimator only runs on the rare trials where a null account actually
-attaches. Property tests check these fast paths, and the blocked graph,
-against the dense n x n Gram they replace.
+attaches. Whether one does (``_reaches``) is checked only on the blocks
+of null queries that meet a spherical cap around the anchors' mean
+direction c: a null query at cosine >= theta with an anchor lies within
+arccos(theta - m) + alpha of c, where m covers _COS_TOL and the float
+dot product's rounding (32 d eps) and alpha is the anchors' largest angle
+from c plus 1e-6 rad; the cap test itself keeps 1e-6 of slack. A block is
+checked whole or skipped, never cut to its cap rows, because BLAS
+rounding depends on the operand's shape. Property tests check these fast
+paths, and the blocked graph, against the dense n x n Gram and the full
+scans they replace.
 """
 
 from __future__ import annotations
@@ -100,10 +110,12 @@ def _gram_blocks(Q: np.ndarray, mask=None):
 def _edges(Q: np.ndarray, theta: float, mask=None):
     """Index arrays (rows, cols), rows < cols, of the pairs of ``Q`` at
     cosine >= theta (within _COS_TOL) that ``mask`` leaves in, in
-    row-major order."""
+    row-major order. Each block's edges come from one flat nonzero split
+    by divmod: the same indices as the 2-d ``np.nonzero``, which is 3 to
+    13 times slower on a 128 x 2800 block."""
     rows, cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     for lo, G in _gram_blocks(Q, mask):
-        r, c = np.nonzero(G >= theta - _COS_TOL)
+        r, c = np.divmod(np.flatnonzero(G >= theta - _COS_TOL), G.shape[1])
         rows.append(r + lo)
         cols.append(c + lo)
     return np.concatenate(rows), np.concatenate(cols)
@@ -188,17 +200,34 @@ def _max_cross_account_cos(Q: np.ndarray, n_per_account: int) -> float:
     return max(float(G.max()) for _, G in _gram_blocks(Q, _same_account(n_per_account)))
 
 
-def _cross_account_edges(Q: np.ndarray, n_per_account: int, theta: float):
-    """(rows, cols) of the query pairs from distinct accounts with cosine
-    >= theta."""
-    return _edges(Q, theta, _same_account(n_per_account))
-
-
 def _reaches(X: np.ndarray, Y: np.ndarray, theta: float) -> bool:
-    """Whether some row of X has cosine >= theta with some row of Y,
-    checked one block of X's rows at a time."""
+    """Whether some row of X has cosine >= theta with some row of Y (rows
+    of unit norm up to rounding), checked one block of X's rows at a time.
+
+    Only the blocks holding a row in the spherical cap around Y's mean
+    direction c are checked. A row at cosine >= theta with some y is
+    within arccos(theta - m) of it, m = _COS_TOL + 32 d eps covering the
+    dot product's rounding, so by the triangle inequality on angles it is
+    within reach = arccos(theta - m) + alpha of c, alpha being the largest
+    angle of a row of Y from c plus 1e-6 rad; the cap test
+    x.c >= cos(reach) - 1e-6 runs in float64. Whole blocks are skipped,
+    never rows: BLAS rounding depends on the operand's shape, so a checked
+    block gives the same product as in the full scan. With reach >= pi,
+    or a zero or non-finite c, every block is checked.
+    """
+    starts = range(0, len(X), _BLOCK_ROWS)
+    with np.errstate(all="ignore"):
+        U = Y / np.linalg.norm(Y.astype(np.float64), axis=1, keepdims=True)
+        c = U.sum(axis=0)
+        c /= np.linalg.norm(c)
+        m = _COS_TOL + 32 * X.shape[1] * max(np.finfo(X.dtype).eps, np.finfo(Y.dtype).eps)
+        reach = (math.acos(max(-1.0, theta - m))
+                 + float(np.arccos(np.clip(U @ c, -1.0, 1.0)).max()) + 1e-6)
+        if reach < math.pi:
+            hits = np.flatnonzero(X @ c >= math.cos(reach) - 1e-6)
+            starts = np.unique(hits // _BLOCK_ROWS) * _BLOCK_ROWS
     return any(float((X[lo:lo + _BLOCK_ROWS] @ Y.T).max()) >= theta - _COS_TOL
-               for lo in range(0, len(X), _BLOCK_ROWS))
+               for lo in starts)
 
 
 def _colluder_queries(rng, pattern: str, k: int, n: int, d: int,
@@ -233,11 +262,11 @@ def _colluders_connected(Q_col: np.ndarray, choices, pattern: str, k: int, n: in
                                 k + int(choices.max()) + 1)
         return bool(np.all(labels[:k] == labels[0]))
     # P-B: angle bound — every query is within arccos(c0) of q*, so any
-    # pair is within twice that
+    # pair is within twice that, which bounds its cosine while <= pi
     qstar = Q_col.mean(axis=0)
     qstar /= np.linalg.norm(qstar)
     c0 = float(np.min(Q_col @ qstar))
-    if math.cos(2.0 * math.acos(min(1.0, c0))) >= theta:
+    if c0 >= 0.0 and math.cos(2.0 * math.acos(min(1.0, c0))) >= theta:
         return True
     return _components(*_edges(Q_col, theta), k * n)[0] == 1
 
@@ -265,10 +294,14 @@ def calibrate(
     """
     if trials < 1:
         raise ValueError(f"calibrate needs trials >= 1, got {trials}")
+    if khat_curve and khat_curve_trials < 1:
+        raise ValueError(f"calibrate needs khat_curve_trials >= 1, got {khat_curve_trials}")
     hp = {"A": 30, "n": 100, "d": 32}
     if harness_params:
         hp.update(harness_params)
     A, n, d = hp["A"], hp["n"], hp["d"]
+    if not all(1 <= k <= A for k in k_true_set):
+        raise ValueError(f"calibrate needs k_true_set within 1..A={A}, got {tuple(k_true_set)}")
     rng = np.random.default_rng(seed)
     theta_grid = list(theta_grid)
 
@@ -294,7 +327,9 @@ def calibrate(
     exact_count = {(p, k): 0 for p in PATTERNS for k in k_true_set}
     for t in range(trials):
         null_pool = random_unit_vectors(arm_rng, (A - min(k_true_set)) * n, d).astype(np.float32)
-        null_rows, null_cols = _cross_account_edges(null_pool, n, operating)
+        # every edge, same-account ones included: they join components
+        # in the generic estimator too
+        null_rows, null_cols = _edges(null_pool, operating)
         null_accounts = np.arange(len(null_pool)) // n
         for pattern in PATTERNS:
             for k in k_true_set:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import adversarial
 from adversarial import rewrite_witnesses
-from collusion_audit import audit, defaults, ledger
+from collusion_audit import audit, defaults, harness, ledger
 from collusion_audit.accounting import PolicyParams
 from collusion_audit.audit import (
     AuditService,
@@ -27,6 +27,7 @@ from collusion_audit.harness import (
     NOISE_DERIVATION,
     NoiseSeedRecord,
     TenantIndex,
+    derive_noise_block,
     random_unit_vectors,
 )
 from collusion_audit.ledger import (
@@ -633,6 +634,63 @@ class TestDigestsPinned:
             '  "witnesses": [\n    {\n      "check": "receipt_consistency",\n'
             '      "witness": "non_inclusion_witness: position beyond ledger"\n'
             '    }\n  ]\n}')
+
+
+class TestFilteredTopK:
+    """Tenants of 300 documents, above ``harness._FILTER_MIN_N``: serving
+    and the audit's re-execution both rank through the filtered top K."""
+
+    DOCS = 300
+
+    def reference_order(self, service, rec):
+        """``rec``'s positions by noisy score from ``derive_noise_block``
+        over every document, stable-sorted: the unfiltered relation."""
+        core = record_core_digest(rec.account_id, rec.tenant_id, rec.query_digest,
+                                  rec.timestamp)
+        embeddings = service.indices[rec.tenant_id].embeddings
+        noise = derive_noise_block(service.witness.window_seed, core, len(embeddings),
+                                   service.policy.sigma)
+        noisy = embeddings @ rec.attestation.query_vector + noise
+        return np.argsort(-noisy, kind="stable").tolist()
+
+    @staticmethod
+    def digest(tenant_id, positions):
+        return hash_fields("topk", *positions, *(f"{tenant_id}/doc{p}" for p in positions))
+
+    def test_honest_window_passes(self):
+        assert harness._FILTER_MIN_N < self.DOCS
+        service = make_service(docs=self.DOCS)
+        receipts = serve_window(service)
+        K = service.policy.top_k
+        for rec in service.ledger.records:
+            top = self.reference_order(service, rec)[:K]
+            assert rec.topk_digest == self.digest(rec.tenant_id, top)
+        verdict = run_audit(service.ledger, service.commitments, service.policy,
+                            receipts, EST_PARAMS, FULL)
+        assert verdict.status == "PASS"
+        # the served positions are in the leaves: a change in what the
+        # filter selects moves the root
+        assert service.ledger.root.hex() == (
+            "8692f05df860503e06a59b145d6fb0832a462448dbac0afc15eee65017b84859")
+
+    def test_forged_topk_digest_fails(self):
+        # the honest top K with its K-th position swapped for the (K+1)-th
+        service = make_service(docs=self.DOCS)
+        receipts = serve_window(service)
+        K, last = service.policy.top_k, len(service.ledger) - 1
+        forged = MerkleLedger()
+        for pos, rec in enumerate(service.ledger.records):
+            if pos == last:
+                order = self.reference_order(service, rec)
+                rec = dataclasses.replace(rec, topk_digest=self.digest(
+                    rec.tenant_id, [*order[:K - 1], order[K]]))
+            forged.append(rec)
+        verdict = run_audit(forged, service.commitments, service.policy, receipts,
+                            EST_PARAMS, FULL)
+        assert verdict.witnesses == [{
+            "check": "noise_then_select",
+            "witness": f"record {last}: re-executed noise-then-select top-K differs "
+                       "from ledger digest"}]
 
 
 class TestUnusualEstimatorInputs:

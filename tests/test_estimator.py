@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -63,12 +63,6 @@ def dense_cross_account_gram(Q, n_per_account):
         lo = a * n_per_account
         G[lo:lo + n_per_account, lo:lo + n_per_account] = -2.0
     return G
-
-
-def dense_cross_account_pairs(Q, n_per_account, theta):
-    G = dense_cross_account_gram(Q, n_per_account)
-    ii, jj = np.nonzero(np.triu(G >= theta - COS_TOL, 1))
-    return list(zip(ii.tolist(), jj.tolist()))
 
 
 def dense_spurious_component_max(pairs, n_per_account):
@@ -218,11 +212,12 @@ class TestEstimateProperties:
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
+    @example(897)  # a same-account edge joins two cross-account components
     def test_spurious_component_matches_generic(self, seed):
         rng = np.random.default_rng(seed)
         A, n, d, theta = 8, 3, 4, 0.45  # low d/theta to force edges
         Q = random_unit_vectors(rng, A * n, d)
-        rows, cols = est_mod._cross_account_edges(Q.copy(), n, theta)
+        rows, cols = est_mod._edges(Q.copy(), theta)
         fast = est_mod._most_accounts(rows, cols, np.arange(A * n) // n)
         qs = queries_from([f"a{i // n}" for i in range(A * n)], Q)
         generic = estimate(qs, EstimatorParams(theta)).largest_cluster_accounts
@@ -299,16 +294,14 @@ class TestBlockedMatchesDense:
         n_accounts = max(2, min(n_accounts, 700 // n_per_account))
         rng = np.random.default_rng(seed)
         Q = random_unit_vectors(rng, n_accounts * n_per_account, d).astype(np.float32)
-        pairs = dense_cross_account_pairs(Q, n_per_account, theta)
         cut = min(keep_accounts, n_accounts) * n_per_account
         with mock.patch.object(est_mod, "_BLOCK_ROWS", block):
             top = est_mod._max_cross_account_cos(Q, n_per_account)
-            rows, cols = est_mod._cross_account_edges(Q, n_per_account, theta)
-            all_rows, all_cols = est_mod._edges(Q, theta)
+            rows, cols = est_mod._edges(Q, theta)
         ii, jj = np.nonzero(np.triu(Q @ Q.T >= theta - COS_TOL, 1))
-        assert np.array_equal(all_rows, ii) and np.array_equal(all_cols, jj)
+        assert np.array_equal(rows, ii) and np.array_equal(cols, jj)
         assert top == float(dense_cross_account_gram(Q, n_per_account).max())
-        assert list(zip(rows.tolist(), cols.tolist())) == pairs
+        pairs = list(zip(ii.tolist(), jj.tolist()))
         inside = cols < cut
         got = est_mod._most_accounts(rows[inside], cols[inside],
                                      np.arange(len(Q)) // n_per_account)
@@ -323,6 +316,9 @@ class TestBlockedMatchesDense:
            intent_set=st.integers(1, 12),
            jitter=st.floats(0.0, 2.0),
            theta=st.floats(0.0, 0.99))
+    # jittered probes more than pi/2 from their mean: twice that angle
+    # bounds no cosine
+    @example(pattern="P-B", seed=5206, k=2, n=3, intent_set=1, jitter=2.0, theta=0.0)
     def test_colluder_connectivity(self, pattern, seed, k, n, intent_set, jitter, theta):
         rng = np.random.default_rng(seed)
         Q_col, _, choices = est_mod._colluder_queries(rng, pattern, k, n, 4, jitter, intent_set)
@@ -332,6 +328,89 @@ class TestBlockedMatchesDense:
             assert got == dense_intents_connected(Q_col, k, n)
         else:
             assert got == dense_queries_connected(Q_col, theta)
+
+
+def full_scan_reaches(X, Y, theta):
+    """``_reaches`` without its cap filter: every block of X's rows."""
+    return any(float((X[lo:lo + est_mod._BLOCK_ROWS] @ Y.T).max()) >= theta - COS_TOL
+               for lo in range(0, len(X), est_mod._BLOCK_ROWS))
+
+
+def plant_at_angle(rng, X, Y, angle, count):
+    """``count`` rows of X replaced by unit vectors at ``angle`` from a
+    row of Y drawn at random."""
+    for _ in range(count):
+        y = Y[rng.integers(len(Y))]
+        y = y / np.linalg.norm(y)
+        u = random_unit_vectors(rng, 1, len(y))[0]
+        u -= (u @ y) * y
+        u /= np.linalg.norm(u)
+        X[rng.integers(len(X))] = np.cos(angle) * y + np.sin(angle) * u
+
+
+class CountedProducts(np.ndarray):
+    """An array that counts the matrix products it enters as the left
+    operand against a matrix (the block checks of ``_reaches``); its
+    slices share the count."""
+
+    def __array_finalize__(self, obj):
+        self.products = getattr(obj, "products", None)
+
+    def __matmul__(self, other):
+        if np.ndim(other) == 2:
+            self.products.append(len(self))
+        return np.asarray(self) @ other
+
+
+class TestReachesCapFilter:
+    """``_reaches`` checks only the blocks of X with a row in the cap
+    around Y's mean direction, and agrees with the full scan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(block=st.sampled_from([5, 128]),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           d=st.integers(2, 64),
+           anchors=st.sampled_from(["P-A", "P-B", "P-C", "antipodal", "single"]),
+           theta=st.one_of(st.sampled_from([-1.0, 0.0, 0.95, 1.0]), st.floats(-1.0, 1.0)),
+           n_rows=st.integers(1, 300),
+           planted=st.integers(0, 3),
+           offset=st.sampled_from([-1e-7, 1e-7]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_full_scan(self, block, dtype, d, anchors, theta, n_rows, planted,
+                               offset, seed):
+        rng = np.random.default_rng(seed)
+        if anchors in est_mod.PATTERNS:
+            _, Y, _ = est_mod._colluder_queries(
+                rng, anchors, int(rng.integers(1, 5)), int(rng.integers(1, 20)), d,
+                float(rng.uniform(0.0, 0.5)), int(rng.integers(1, 8)))
+        else:
+            Y = random_unit_vectors(rng, 1, d)
+            if anchors == "antipodal":
+                Y = np.vstack([Y, -Y])  # mean direction zero
+        X = random_unit_vectors(rng, n_rows, d)
+        angle = min(max(np.arccos(theta) + offset, 0.0), np.pi)
+        plant_at_angle(rng, X, Y, angle, planted)
+        X, Y = X.astype(dtype), Y.astype(dtype)
+        with mock.patch.object(est_mod, "_BLOCK_ROWS", block):
+            assert est_mod._reaches(X, Y, theta) == full_scan_reaches(X, Y, theta)
+
+    def test_null_blocks_are_skipped(self):
+        # calibrate's default population at theta 0.8: the P-B anchors of
+        # k = 20 colluders against the (A - k) * n null queries
+        rng = np.random.default_rng(0)
+        A, n, d, k, theta = 30, 100, 32, 20, 0.8
+        nulls = random_unit_vectors(rng, (A - k) * n, d).astype(np.float32)
+        _, anchors, _ = est_mod._colluder_queries(rng, "P-B", k, n, d, 0.10, 5)
+        anchors = anchors.astype(np.float32)
+        X = nulls.view(CountedProducts)
+        X.products = []
+        assert not est_mod._reaches(X, anchors, theta)
+        assert X.products == []
+        assert not full_scan_reaches(nulls, anchors, theta)
+        # a null row on an anchor: only its block is checked
+        X[300] = anchors[7]
+        assert est_mod._reaches(X, anchors, theta)
+        assert X.products == [est_mod._BLOCK_ROWS]
 
 
 def plain(x):
@@ -389,6 +468,27 @@ class TestCalibrateSmoke:
         with pytest.raises(ValueError, match="trials"):
             calibrate(trials=0)
 
+    def test_k_true_beyond_population_rejected(self):
+        # k = 5 of A = 3 accounts would cut the null pool at a negative stop
+        with pytest.raises(ValueError, match="k_true_set"):
+            calibrate(harness_params={"A": 3, "n": 5, "d": 8}, k_true_set=(2, 5), trials=1)
+
+    def test_khat_curve_without_trials_rejected(self):
+        with pytest.raises(ValueError, match="khat_curve_trials"):
+            calibrate(harness_params={"A": 6, "n": 5, "d": 8}, trials=1, k_true_set=(2,),
+                      khat_curve=True, khat_curve_trials=0)
+
+    def test_fast_path_matches_generic_estimator(self):
+        # with _reaches always true every cell runs the generic estimator
+        # on the same draws; low d makes null components that only
+        # same-account edges join
+        kw = dict(harness_params={"A": 8, "n": 3, "d": 6}, theta_grid=(0.6,), trials=20,
+                  k_true_set=(2,), seed=0)
+        fast = calibrate(**kw)
+        with mock.patch.object(est_mod, "_reaches", lambda *args: True):
+            generic = calibrate(**kw)
+        assert fast.khat_by_pattern == generic.khat_by_pattern
+        assert fast.khat_exact_rate == generic.khat_exact_rate
 
     def test_small_calibration(self):
         rep = calibrate(harness_params={"A": 8, "n": 10, "d": 16},
