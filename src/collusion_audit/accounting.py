@@ -59,7 +59,6 @@ class PolicyParams:
     k_max: int
     delta_policy: float
     window_id: str = "W0"
-    delta_gap: float = 1.0
     top_k: int = 5
 
     def __post_init__(self):
@@ -89,10 +88,9 @@ class PolicyParams:
         k_max: int,
         delta_policy: float,
         window_id: str = "W0",
-        delta_gap: float = 1.0,
         top_k: int = 5,
     ) -> "PolicyParams":
-        sigma = calibrate_sigma(eps_acc, delta_acc, n_queries, delta_gap)
+        sigma = calibrate_sigma(eps_acc, delta_acc, n_queries)
         return cls(
             eps_acc=eps_acc,
             delta_acc=delta_acc,
@@ -101,7 +99,6 @@ class PolicyParams:
             k_max=k_max,
             delta_policy=delta_policy,
             window_id=window_id,
-            delta_gap=delta_gap,
             top_k=top_k,
         )
 
@@ -131,44 +128,32 @@ class RdpState:
         return self.rho.get(alpha, 0.0)
 
 
-def calibrate_sigma(
-    eps_acc: float,
-    delta_acc: float,
-    n_queries: int,
-    delta_gap: float = 1.0,
-) -> float:
-    """Gaussian noise scale saturating the per-account budget.
+def calibrate_sigma(eps_acc: float, delta_acc: float, n_queries: int) -> float:
+    """Gaussian noise scale saturating the per-account budget for a score
+    gap of 1 (unit-norm documents and queries).
 
     Combines the classical Gaussian-mechanism calibration at the per-query
-    budget with the advanced-composition split over n queries; linear in
-    the score gap.
+    budget with the advanced-composition split over n queries.
     """
     if eps_acc <= 0:
         raise ValueError("eps_acc must be positive")
     _check_delta("delta_acc", delta_acc)
-    if not 0.0 < delta_gap <= 1.0:
-        raise ValueError("delta_gap must lie in (0, 1]")
     n = n_queries
     delta_q = delta_acc / n
     return (
-        delta_gap
-        * math.sqrt(
-            2.0 * n * math.log(1.0 / delta_acc) * 2.0 * math.log(1.25 / delta_q)
-        )
+        math.sqrt(2.0 * n * math.log(1.0 / delta_acc) * 2.0 * math.log(1.25 / delta_q))
         / eps_acc
     )
 
 
-def rdp_route_sigma(
-    eps_acc: float, delta_acc: float, n_queries: int, delta_gap: float = 1.0
-) -> float:
-    """Noise scale under which the Renyi accountant of n per-query Gaussian
-    releases converts back to exactly the per-account budget (no 1.25/delta_q
-    factor)."""
+def rdp_route_sigma(eps_acc: float, delta_acc: float, n_queries: int) -> float:
+    """Noise scale, for a score gap of 1, under which the Renyi accountant
+    of n per-query Gaussian releases converts back to exactly the
+    per-account budget (no 1.25/delta_q factor)."""
     if eps_acc <= 0:
         raise ValueError("eps_acc must be positive")
     _check_delta("delta_acc", delta_acc)
-    return delta_gap * math.sqrt(2.0 * n_queries * math.log(1.0 / delta_acc)) / eps_acc
+    return math.sqrt(2.0 * n_queries * math.log(1.0 / delta_acc)) / eps_acc
 
 
 def joint_epsilon_upper(
@@ -176,15 +161,15 @@ def joint_epsilon_upper(
 ) -> JointBound:
     """Coalition bound via advanced composition of k*n per-query releases.
 
-    Leading term sqrt(k) eps_acc sqrt(ln(1/delta)/ln(1/delta_acc)); the
-    residual is the explicit second-order composition term
+    Leading term sqrt(k) eps_acc sqrt(ln(1/delta)/ln(1/delta_acc)) for any
+    composition slack delta in (0, 1), delta_acc by default; the residual
+    is the explicit second-order composition term
     2 k n eps_q^2 = k eps_acc^2 / ln(1/delta_acc), never silently dropped.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     delta = policy.delta_acc if delta_slack is None else delta_slack
-    if delta < policy.delta_acc:
-        raise ValueError("delta_slack must be >= delta_acc")
+    _check_delta("delta_slack", delta)
     log_acc = math.log(1.0 / policy.delta_acc)
     leading = math.sqrt(k) * policy.eps_acc * math.sqrt(math.log(1.0 / delta) / log_acc)
     residual = k * policy.eps_acc**2 / log_acc
@@ -253,20 +238,13 @@ def epsilon_audit(
     """Audit epsilon issued with a PASS verdict, at the policy's declared
     coalition cap.
 
-    Full mode reparametrizes the composition slack as
-    delta_comp = delta_policy - k_max delta_acc so the final joint failure
-    probability is exactly delta_policy. Headline mode drops the log ratio
-    and residual, reporting sqrt(k_max) * eps_acc.
+    Full mode is ``joint_epsilon_upper`` at k_max with the composition
+    slack delta_comp = delta_policy - k_max delta_acc, so the final joint
+    failure probability is exactly delta_policy. Headline mode drops the
+    log ratio and residual, reporting sqrt(k_max) * eps_acc.
     """
     if headline:
         return math.sqrt(policy.k_max) * policy.eps_acc, policy.delta_policy
     # positive: PolicyParams refuses delta_policy <= k_max * delta_acc
     delta_comp = policy.delta_policy - policy.k_max * policy.delta_acc
-    log_acc = math.log(1.0 / policy.delta_acc)
-    eps = (
-        math.sqrt(policy.k_max)
-        * policy.eps_acc
-        * math.sqrt(math.log(1.0 / delta_comp) / log_acc)
-        + policy.k_max * policy.eps_acc**2 / log_acc
-    )
-    return eps, policy.delta_policy
+    return joint_epsilon_upper(policy, policy.k_max, delta_comp).epsilon, policy.delta_policy

@@ -43,6 +43,7 @@ TOPK_GRID = [(k, e) for e in (4.0, 8.0, 16.0) for k in (1, 2, 5, 10, 20)]
 _Z_NODES = 0.2 * np.arange(-45, 46)
 _Z_WEIGHTS = 0.2 * np.exp(-0.5 * _Z_NODES**2) / math.sqrt(2.0 * math.pi)
 _TOPK_BLOCK = 256  # trials per block of the hit-probability DP (bounds its memory)
+_TOPK_DIM = 32  # dimension of the simulated top-K documents and probe
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,6 @@ class CoalitionConfig:
     rho: float | None = None  # diversified only
     K: int = 5
     n_background: int = 50
-    d: int = 32
 
     def __post_init__(self):
         if self.k < 1 or self.n_per_account < 1:
@@ -191,7 +191,7 @@ def _simulate_topk_cell(rng, config, sigma: float, trials: int):
     s_in = np.empty(trials)
     s_out = np.empty(trials)
     for t in range(trials):
-        bg = _background_scores(rng, (config.n_background,), config.d)
+        bg = _background_scores(rng, (config.n_background,), _TOPK_DIM)
         s_in[t] = _topk_hits(rng, config, 1.0, bg, sigma)
         s_out[t] = _topk_hits(rng, config, 0.0, bg, sigma)
     return s_in, s_out
@@ -206,7 +206,7 @@ def _exact_topk_cell(rng, config, sigma: float, trials: int):
     p = np.empty((trials, 2))
     for lo in range(0, trials, _TOPK_BLOCK):
         bg = _background_scores(rng, (min(_TOPK_BLOCK, trials - lo), config.n_background),
-                                config.d)
+                                _TOPK_DIM)
         p[lo:lo + len(bg)] = _topk_hit_prob(bg, (1.0, 0.0), sigma, config.K)
     counts = rng.binomial(config.k * config.n_per_account, p).astype(float)
     return counts[:, 0], counts[:, 1]
@@ -239,7 +239,7 @@ def run_sweep(
     )
     for k, eps in grid:
         cfg = replace(config, k=k)
-        sigma = accounting.calibrate_sigma(eps, delta_acc, cfg.n_per_account, 1.0)
+        sigma = accounting.calibrate_sigma(eps, delta_acc, cfg.n_per_account)
         rng = np.random.default_rng(cell_seed(master_seed, k, eps, mode, cfg.regime))
         if config.adversary == "topk_hit":
             simulate = _exact_topk_cell if mode == "sufficient_stat" else _simulate_topk_cell
@@ -337,8 +337,8 @@ def check_gates(sweep: SweepResult) -> GateReport:
     )
 
 
-def external_vs_same(grid, policy_template: dict, T: int, master_seed: int = 0,
-                     config: CoalitionConfig | None = None) -> list:
+def external_vs_same(grid, policy_template: dict, T: int, master_seed: int,
+                     config: CoalitionConfig) -> list:
     """Run the ``full_sim`` sweep once per regime at k = 1. The regime
     enters only ``cell_seed``, so the two arms are two draws from one law
     and any AUC gap is sampling noise: a null check of the sweep, not a
@@ -347,10 +347,9 @@ def external_vs_same(grid, policy_template: dict, T: int, master_seed: int = 0,
     Returns one row per cell:
     (k, eps, auc_same, se_same, auc_ext, se_ext, delta_auc, combined_se).
     """
-    base = config or CoalitionConfig(k=1, n_per_account=200, adversary="topk_hit")
     rows = []
     for regime in ("same_tenant", "external_m4"):
-        res = run_sweep(grid, replace(base, k=1, regime=regime), policy_template, T,
+        res = run_sweep(grid, replace(config, k=1, regime=regime), policy_template, T,
                         "full_sim", master_seed)
         if regime == "same_tenant":
             same = res

@@ -49,6 +49,9 @@ __all__ = [
     "CLAIMS",
 ]
 
+# the digest of the embedder every window is served and audited under
+_EMBEDDER_DIGEST = hash_fields("embedder", "unit-v1")
+
 CLAIMS = (
     "embedder_consistency",
     "noise_derivation",
@@ -139,16 +142,13 @@ class AuditService:
     refers to."""
 
     def __init__(self, policy, indices, window_seed: bytes,
-                 embedder_digest: bytes = None, signing_seed: bytes = b"\x01" * 32):
+                 signing_seed: bytes = b"\x01" * 32):
         self.policy = policy
         self.indices = {ix.tenant_id: ix for ix in indices}
-        embedder_digest = embedder_digest or hash_fields("embedder", "unit-v1")
         self.signing_key, self.public_key = ledger_mod.generate_test_keypair(signing_seed)
         self.ledger = MerkleLedger()
-        self.commitments = commit_phase_a(
-            policy, embedder_digest, indices, window_seed, published_at=0
-        )
-        self.witness = WindowWitness(embedder_digest, window_seed, policy.sigma,
+        self.commitments = commit_phase_a(policy, _EMBEDDER_DIGEST, indices, window_seed)
+        self.witness = WindowWitness(_EMBEDDER_DIGEST, window_seed, policy.sigma,
                                      {t: ix.embeddings for t, ix in self.indices.items()})
         self._clock = 0
 
@@ -395,14 +395,13 @@ class ZkCostEstimate:
     prove_seconds: float
     setup_seconds: float
     verify_ms: float
-    sumcheck_field_ops: int  # O(d log N) verifier-side field operations
 
 
-def zk_cost(mode: str, N: int, d: int = 384) -> ZkCostEstimate:
+def zk_cost(mode: str, N: int) -> ZkCostEstimate:
     """Groth16-style cost extrapolation: constraints = base + per_doc * N
     (least-squares fit to the reference table), proving at ~1 us per
     constraint, trusted setup at half the proving time, verification a
-    constant ~8 ms plus a d*log2(N) sumcheck term reported but not timed."""
+    constant ~8 ms."""
     if mode not in _COST_FIT:
         raise ValueError(f"unknown mode {mode!r}")
     if N < 1:
@@ -413,5 +412,4 @@ def zk_cost(mode: str, N: int, d: int = 384) -> ZkCostEstimate:
     return ZkCostEstimate(
         mode=mode, index_size=N, constraints=constraints,
         prove_seconds=prove, setup_seconds=prove / 2.0, verify_ms=8.0,
-        sumcheck_field_ops=int(d * math.ceil(math.log2(max(N, 2)))),
     )

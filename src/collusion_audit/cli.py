@@ -175,9 +175,11 @@ def _run_topk_sweep(config: dict, out_dir: str) -> tuple[list, int]:
 
 
 def _run_estimator_calibration(config: dict, out_dir: str) -> tuple[list, int]:
-    trials = config.get("trials", 20 if config["profile"] == "smoke" else 200)
+    smoke = config["profile"] == "smoke"
+    trials = config.get("trials", 20 if smoke else 200)
     report = estimator.calibrate(trials=trials, seed=config["seed"],
-                                 khat_curve=config.get("khat_curve", False))
+                                 khat_curve=config.get("khat_curve", False),
+                                 khat_curve_trials=2 if smoke else 20)
     rows = []
     for th in report.theta_grid:
         rows.append([th, report.null_fpr[th], "", "", "", ""])
@@ -227,7 +229,7 @@ def _run_alt_adversaries(config: dict, out_dir: str) -> tuple[list, int]:
     return [path], 0
 
 
-def _run_epsilon_table(config: dict, out_dir: str) -> tuple[list, int]:
+def _run_epsilon_table(_config: dict, out_dir: str) -> tuple[list, int]:
     rows = []
     for k_max, eps in ((10, 1.0), (50, 1.0), (50, 2.0), (100, 1.0)):
         policy = accounting.PolicyParams.calibrated(
@@ -242,7 +244,7 @@ def _run_epsilon_table(config: dict, out_dir: str) -> tuple[list, int]:
     return [path], 0
 
 
-def _run_cost_table(config: dict, out_dir: str) -> tuple[list, int]:
+def _run_cost_table(_config: dict, out_dir: str) -> tuple[list, int]:
     rows = []
     for mode in ("optimized", "naive"):
         for N in (10**3, 10**4, 10**5, 10**6):

@@ -58,6 +58,9 @@ __all__ = [
 PATTERNS = ("P-A", "P-B", "P-C")
 DEFAULT_THETA_GRID = tuple(np.round(np.linspace(0.20, 0.95, 16), 10))
 DEFAULT_K_TRUE = (2, 5, 10, 20)
+# calibration population: P-B jitter scale zeta and P-C intent-set size
+_JITTER = 0.10
+_INTENT_SET = 5
 _COS_TOL = 1e-12
 # Gram rows computed at a time: a block holds _BLOCK_ROWS x n cosines
 _BLOCK_ROWS = 128
@@ -66,7 +69,6 @@ _BLOCK_ROWS = 128
 @dataclass(frozen=True)
 class EstimatorParams:
     theta: float
-    window_tau: int | None = None  # pairwise logical-time gap, None = whole window
 
     def __post_init__(self):
         if not -1.0 <= self.theta <= 1.0:
@@ -107,14 +109,14 @@ def _gram_blocks(Q: np.ndarray, mask=None):
         yield lo, G
 
 
-def _edges(Q: np.ndarray, theta: float, mask=None):
+def _edges(Q: np.ndarray, theta: float):
     """Index arrays (rows, cols), rows < cols, of the pairs of ``Q`` at
-    cosine >= theta (within _COS_TOL) that ``mask`` leaves in, in
-    row-major order. Each block's edges come from one flat nonzero split
-    by divmod: the same indices as the 2-d ``np.nonzero``, which is 3 to
-    13 times slower on a 128 x 2800 block."""
+    cosine >= theta (within _COS_TOL), in row-major order. Each block's
+    edges come from one flat nonzero split by divmod: the same indices as
+    the 2-d ``np.nonzero``, which is 3 to 13 times slower on a 128 x 2800
+    block."""
     rows, cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-    for lo, G in _gram_blocks(Q, mask):
+    for lo, G in _gram_blocks(Q):
         r, c = np.divmod(np.flatnonzero(G >= theta - _COS_TOL), G.shape[1])
         rows.append(r + lo)
         cols.append(c + lo)
@@ -144,7 +146,8 @@ def _most_accounts(rows, cols, accounts: np.ndarray) -> int:
 
 
 def estimate(queries, params: EstimatorParams) -> CoalitionEstimate:
-    """Generic estimator: queries are (account_id, embedding, timestamp).
+    """Generic estimator: queries are (account_id, embedding, timestamp)
+    triples, and the timestamp is ignored: the whole window is clustered.
 
     Embeddings more than 1e-6 from unit norm are normalised (the others
     are used as given), a zero or non-finite embedding has no edges, and
@@ -152,14 +155,13 @@ def estimate(queries, params: EstimatorParams) -> CoalitionEstimate:
     clustered on its own and the largest cluster over all of them counts.
     """
     groups = {}
-    for account, vector, timestamp in queries:
+    for account, vector, _ in queries:
         vector = np.asarray(vector, dtype=np.float64)
-        accounts, rows, times = groups.setdefault(vector.shape, ([], [], []))
+        accounts, rows = groups.setdefault(vector.shape, ([], []))
         accounts.append(account)
         rows.append(vector)
-        times.append(timestamp)
     largest = 1
-    for accounts, rows, times in groups.values():
+    for accounts, rows in groups.values():
         Q = np.asarray(rows)
         norms = np.linalg.norm(Q, axis=1)
         usable = np.isfinite(norms) & (norms > 0)
@@ -167,14 +169,7 @@ def estimate(queries, params: EstimatorParams) -> CoalitionEstimate:
         Q[off] /= norms[off, None]
         ids = {}
         codes = np.array([ids.setdefault(a, len(ids)) for a in accounts])[usable]
-        mask = None
-        if params.window_tau is not None:
-            ts = np.asarray(times, dtype=np.int64)[usable]
-
-            def mask(lo, G):
-                stale = np.abs(ts[lo:lo + len(G), None] - ts[None, lo:]) > params.window_tau
-                np.copyto(G, -np.inf, where=stale)
-        rows, cols = _edges(Q[usable], params.theta, mask)
+        rows, cols = _edges(Q[usable], params.theta)
         largest = max(largest, _most_accounts(rows, cols, codes))
     return CoalitionEstimate(largest)
 
@@ -275,8 +270,6 @@ def calibrate(
     harness_params: dict | None = None,
     theta_grid=DEFAULT_THETA_GRID,
     trials: int = 200,
-    jitter: float = 0.10,
-    intent_set: int = 5,
     k_true_set=DEFAULT_K_TRUE,
     seed: int = 0,
     khat_curve: bool = False,
@@ -335,7 +328,7 @@ def calibrate(
             for k in k_true_set:
                 nulls = null_pool[: (A - k) * n]
                 Q_col, anchors, choices = _colluder_queries(
-                    arm_rng, pattern, k, n, d, jitter, intent_set
+                    arm_rng, pattern, k, n, d, _JITTER, _INTENT_SET
                 )
                 connected = _colluders_connected(Q_col, choices, pattern, k, n, operating)
                 if connected and not _reaches(nulls, anchors.astype(np.float32), operating):
@@ -368,7 +361,7 @@ def calibrate(
                     tot = 0.0
                     for _ in range(khat_curve_trials):
                         Q_col, _, _ = _colluder_queries(
-                            curve_rng, pattern, k, n, d, jitter, intent_set
+                            curve_rng, pattern, k, n, d, _JITTER, _INTENT_SET
                         )
                         nulls = random_unit_vectors(curve_rng, (A - k) * n, d)
                         queries = (

@@ -171,9 +171,10 @@ def index_root(embeddings) -> bytes:
 
 
 def commit_phase_a(policy, embedder_artifact_digest: bytes, indices: list,
-                   window_seed: bytes, published_at: int = 0) -> CommitmentBundle:
+                   window_seed: bytes) -> CommitmentBundle:
     """Pre-window commitments: embedder artifact, per-tenant index roots,
-    hashed window seed, and the policy digest."""
+    hashed window seed, and the policy digest, published at logical time
+    0, before the first record's timestamp."""
     if len(window_seed) != 32:
         raise ValueError("window seed must be 32 bytes")
     c_idx = {}
@@ -186,7 +187,7 @@ def commit_phase_a(policy, embedder_artifact_digest: bytes, indices: list,
         c_idx=c_idx,
         c_seed=sha256(window_seed),
         c_policy=policy_commitment(policy),
-        published_at=published_at,
+        published_at=0,
     )
 
 

@@ -135,7 +135,7 @@ def test_criterion_08_rdp_residual_and_accountant():
             assert rdp.residual == pytest.approx(adv.residual / 4.0, rel=1e-12)
             state = accounting.RdpState()
             for _ in range(k):
-                state = accounting.rdp_accumulate(state, policy.delta_gap,
+                state = accounting.rdp_accumulate(state, 1.0,
                                                   accounting.rdp_route_sigma(
                                                       policy.eps_acc, policy.delta_acc,
                                                       policy.n_queries))

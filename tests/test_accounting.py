@@ -2,7 +2,7 @@ import math
 from collections import namedtuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collusion_audit import accounting as acc
@@ -104,22 +104,12 @@ class TestCalibration:
             acc.calibrate_sigma(0.0, 1e-6, 10)
 
     def test_sigma_value(self):
-        sigma = acc.calibrate_sigma(4.0, 1e-6, 10_000, 1.0)
+        sigma = acc.calibrate_sigma(4.0, 1e-6, 10_000)
         oracle = math.sqrt(
             2 * 10_000 * math.log(1e6) * 2 * math.log(1.25 / 1e-10)
         ) / 4.0
         assert sigma == pytest.approx(oracle, rel=1e-12)
         assert sigma == pytest.approx(896.6, abs=1.0)
-
-    def test_sigma_linear_in_gap(self):
-        s1 = acc.calibrate_sigma(2.0, 1e-6, 100, 0.4)
-        s2 = acc.calibrate_sigma(2.0, 1e-6, 100, 0.8)
-        assert s2 == pytest.approx(2 * s1, rel=1e-12)
-
-    def test_gap_domain(self):
-        for bad in (0.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                acc.calibrate_sigma(1.0, 1e-6, 10, bad)
 
     def test_round_trip_per_query_guarantee(self):
         # Delta*sqrt(2 ln(1.25/delta_q))/sigma recovers eps_q to 1e-12
@@ -348,6 +338,73 @@ class TestEpsilonAudit:
     def test_ill_formed_policy(self):
         with pytest.raises(ValueError):
             make_policy(k_max=100, delta_policy=5e-5)
+
+
+def closed_form_epsilon_audit(policy):
+    """The full-mode audit epsilon written out as one closed form, the
+    reference ``epsilon_audit`` must match bit for bit."""
+    delta_comp = policy.delta_policy - policy.k_max * policy.delta_acc
+    log_acc = math.log(1.0 / policy.delta_acc)
+    return (math.sqrt(policy.k_max) * policy.eps_acc
+            * math.sqrt(math.log(1.0 / delta_comp) / log_acc)
+            + policy.k_max * policy.eps_acc**2 / log_acc)
+
+
+@st.composite
+def valid_policies(draw):
+    """Well-formed calibrated policies, delta_comp = delta_policy -
+    k_max * delta_acc anywhere in (0, 1): below delta_acc too."""
+    delta_acc = draw(st.floats(1e-12, 0.05))
+    k_max = draw(st.integers(1, 200))
+    floor = k_max * delta_acc
+    if floor >= 1.0:
+        k_max, floor = 1, delta_acc
+    # delta_policy just above the floor (a residue-sized delta_comp) or anywhere up to 1
+    delta_policy = draw(st.one_of(
+        st.just(math.nextafter(floor, 1.0)),
+        st.floats(floor, 1.0, exclude_min=True, exclude_max=True),
+    ))
+    return acc.PolicyParams.calibrated(
+        draw(st.floats(1e-3, 50.0)), delta_acc, draw(st.integers(1, 10**6)),
+        k_max, delta_policy)
+
+
+class TestOneCompositionBound:
+    """Equivalence gate: the audit epsilon issued through
+    ``joint_epsilon_upper``, and sigma for a unit score gap, equal their
+    closed forms with ``==``."""
+
+    @settings(max_examples=300)
+    @given(valid_policies())
+    # the shipped audit policy: delta_comp = 1e-5 - 10 * 1e-6 is a rounding
+    # residue of 1.69e-21, far below delta_acc
+    @example(make_policy(k_max=10, delta_policy=1e-5))
+    # delta_comp = delta_acc exactly
+    @example(make_policy(k_max=1, delta_policy=2e-6))
+    def test_epsilon_audit_matches_closed_form(self, policy):
+        assert acc.epsilon_audit(policy)[0] == closed_form_epsilon_audit(policy)
+
+    @settings(max_examples=300)
+    @given(st.floats(1e-3, 50.0), st.floats(1e-12, 0.5), st.integers(1, 10**6))
+    def test_sigma_matches_unit_gap_form(self, eps_acc, delta_acc, n):
+        delta_q = delta_acc / n
+        gap = 1.0
+        oracle = gap * math.sqrt(
+            2.0 * n * math.log(1.0 / delta_acc) * 2.0 * math.log(1.25 / delta_q)
+        ) / eps_acc
+        assert acc.calibrate_sigma(eps_acc, delta_acc, n) == oracle
+
+    @given(valid_policies(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_any_slack_in_open_unit_interval(self, policy, slack):
+        # a subnormal slack overflows 1/slack: the bound is then +inf, not an error
+        bound = acc.joint_epsilon_upper(policy, policy.k_max, slack)
+        assert bound.epsilon > 0
+        assert bound.delta == slack + policy.k_max * policy.delta_acc
+
+    @pytest.mark.parametrize("slack", [0.0, 1.0, -1e-9, 1.5, math.nan])
+    def test_slack_outside_open_unit_interval_rejected(self, slack):
+        with pytest.raises(ValueError, match="delta_slack"):
+            acc.joint_epsilon_upper(make_policy(), 3, slack)
 
 
 @settings(max_examples=30)

@@ -871,9 +871,6 @@ class TestZkCost:
         assert est.setup_seconds == pytest.approx(est.prove_seconds / 2)
         assert est.verify_ms == 8.0
 
-    def test_sumcheck_ops(self):
-        est = zk_cost("optimized", 1024, d=384)
-        assert est.sumcheck_field_ops == 384 * 10
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
-from collusion_audit import cli
+from collusion_audit import cli, estimator
 
 
 def run_cli(args):
@@ -163,6 +163,27 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"experiment": "cost_table", "trials": 5}))
         assert run_cli(["cost_table", "--config", str(cfg),
                         "--out", str(tmp_path)]) == 2
+
+
+class TestCalibrationProfile:
+    @pytest.mark.parametrize("profile, curve_trials", [("smoke", 2), ("paper", 20)])
+    def test_profile_sets_khat_curve_trials(self, tmp_path, monkeypatch, profile,
+                                            curve_trials):
+        seen = {}
+
+        def fake_calibrate(**kwargs):
+            seen.update(kwargs)
+            return estimator.CalibrationReport(theta_grid=[0.8], null_fpr={0.8: 0.0},
+                                               khat_by_pattern={}, operating_theta=0.8)
+
+        monkeypatch.setattr(estimator, "calibrate", fake_calibrate)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "estimator_calibration",
+                                   "khat_curve": True}))
+        assert run_cli(["estimator_calibration", "--config", str(cfg), "--profile",
+                        profile, "--out", str(tmp_path / "out")]) == 0
+        assert seen["khat_curve"] is True
+        assert seen["khat_curve_trials"] == curve_trials
 
 
 class TestOutputErrors:

@@ -16,10 +16,8 @@ from collusion_audit.harness import random_unit_vectors
 COS_TOL = 1e-12
 
 
-def queries_from(accounts, Q, ts=None):
-    if ts is None:
-        ts = range(len(accounts))
-    return [(a, q, t) for a, q, t in zip(accounts, Q, ts)]
+def queries_from(accounts, Q):
+    return [(a, q, t) for t, (a, q) in enumerate(zip(accounts, Q))]
 
 
 # --- the dense reference: the n x n Gram that the blocked code replaces ----
@@ -32,14 +30,13 @@ def dense_component_account_counts(accounts, adj):
 
 def dense_estimate(queries, params):
     groups = {}
-    for account, vector, timestamp in queries:
+    for account, vector, _ in queries:
         vector = np.asarray(vector, dtype=np.float64)
-        accounts, rows, times = groups.setdefault(vector.shape, ([], [], []))
+        accounts, rows = groups.setdefault(vector.shape, ([], []))
         accounts.append(account)
         rows.append(vector)
-        times.append(timestamp)
     largest = 1
-    for accounts, rows, times in groups.values():
+    for accounts, rows in groups.values():
         Q = np.asarray(rows)
         norms = np.linalg.norm(Q, axis=1)
         usable = np.isfinite(norms) & (norms > 0)
@@ -49,9 +46,6 @@ def dense_estimate(queries, params):
             adj = (Q @ Q.T) >= params.theta - COS_TOL
         adj[~usable] = False
         adj[:, ~usable] = False
-        if params.window_tau is not None:
-            ts = np.asarray(times, dtype=np.int64)
-            adj &= np.abs(ts[:, None] - ts[None, :]) <= params.window_tau
         np.fill_diagonal(adj, False)
         largest = max(largest, *dense_component_account_counts(accounts, adj))
     return largest
@@ -171,16 +165,6 @@ class TestEstimateProperties:
         b = estimate([qs[i] for i in perm], EstimatorParams(0.8))
         assert a.largest_cluster_accounts == b.largest_cluster_accounts
 
-    def test_window_tau_splits_stale_pairs(self):
-        rng = np.random.default_rng(5)
-        accounts, Q = aligned_block(rng, 2, 1, 16, cos=0.999)
-        qs = queries_from(accounts, Q, ts=[0, 1000])
-        assert estimate(qs, EstimatorParams(0.9)).largest_cluster_accounts == 2
-        assert estimate(qs, EstimatorParams(0.9, window_tau=10)).largest_cluster_accounts == 1
-        # a gap of exactly tau still links
-        qs = queries_from(accounts, Q, ts=[0, 10])
-        assert estimate(qs, EstimatorParams(0.9, window_tau=10)).largest_cluster_accounts == 2
-
     def test_evasion_below_threshold(self):
         # colluders that keep every pairwise cosine below theta evade detection
         d = 16
@@ -257,16 +241,17 @@ class TestBlockedMatchesDense:
            seed=st.integers(0, 2**32 - 1),
            d=st.integers(1, 4),
            n_accounts=st.integers(1, 6),
-           theta=st.one_of(st.just(1.0), st.just(-1.0), st.floats(-1.0, 1.0)),
-           tau=st.one_of(st.none(), st.integers(0, 30)))
-    def test_estimate(self, block, size, seed, d, n_accounts, theta, tau):
+           theta=st.one_of(st.just(1.0), st.just(-1.0), st.floats(-1.0, 1.0)))
+    def test_estimate(self, block, size, seed, d, n_accounts, theta):
         n = {"one": 1, "below": block - 1, "equal": block, "above": block + 1,
              "several": 2 * block + 3}[size]
-        queries = window(seed, n, d, n_accounts)
-        params = EstimatorParams(theta, window_tau=tau)
+        queries = window(seed, n, d, n_accounts)  # random timestamps
+        params = EstimatorParams(theta)
         with mock.patch.object(est_mod, "_BLOCK_ROWS", block):
             got = estimate(queries, params).largest_cluster_accounts
-        assert got == dense_estimate(queries, params)
+            # the timestamp is ignored: the whole window is clustered
+            untimed = estimate([(a, v, 0) for a, v, _ in queries], params)
+        assert got == untimed.largest_cluster_accounts == dense_estimate(queries, params)
 
     def test_duplicates_at_theta_one(self):
         rng = np.random.default_rng(8)

@@ -82,3 +82,36 @@ def test_private_name_check_sees_one():
 def test_private_names_are_read(name):
     # a private helper nothing reads is dead code the module still carries
     assert unread_private_names((PACKAGE_DIR / f"{name}.py").read_text()) == []
+
+
+def unread_parameters(source: str) -> list:
+    """(line, name) for every parameter of a def or lambda that its body
+    never reads; ``self``, ``cls`` and names starting with ``_`` (kept only
+    to fit a call signature) are exempt."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [(p.lineno, p.arg) for p in params
+                   if p.arg not in ("self", "cls") and not p.arg.startswith("_")
+                   and p.arg not in read]
+    return unread
+
+
+def test_unread_parameter_check_sees_them():
+    source = ("def f(a, b, *args, c=1, _d=2, **kw):\n    return a + c + kw['x']\n"
+              "class K:\n    def m(self, e):\n        return 0\n"
+              "    @classmethod\n    def n(cls, g=lambda h: 0):\n        return g\n"
+              "def outer(i):\n    def inner():\n        return i\n    return inner\n")
+    assert unread_parameters(source) == [(1, "b"), (1, "args"), (4, "e"), (7, "h")]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_parameters_are_read(name):
+    # a parameter the body never reads is a knob that selects nothing
+    assert unread_parameters((PACKAGE_DIR / f"{name}.py").read_text()) == []
