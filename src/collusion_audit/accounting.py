@@ -12,6 +12,7 @@ erfc, accurate to ~1e-15 relative.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 __all__ = [
@@ -38,8 +39,10 @@ def normal_cdf(z: float) -> float:
 
 
 def _check_delta(name: str, value: float) -> None:
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must lie in (0, 1), got {value}")
+    # a subnormal delta overflows 1/delta, so ln(1/delta) would be inf
+    if not sys.float_info.min <= value < 1.0:
+        raise ValueError(
+            f"{name} must lie in [{sys.float_info.min}, 1), got {value}")
 
 
 @dataclass(frozen=True)
@@ -74,9 +77,11 @@ class PolicyParams:
             raise ValueError("k_max must be >= 1")
         if type(self.top_k) is not int or self.top_k < 1:
             raise ValueError("top_k must be an integer >= 1")
-        if self.delta_policy <= self.k_max * self.delta_acc:
+        # epsilon_audit composes with this slack, so it must pass _check_delta
+        if not self.delta_policy - self.k_max * self.delta_acc >= sys.float_info.min:
             raise ValueError(
                 "policy ill-formed: delta_policy must exceed k_max * delta_acc"
+                f" by at least {sys.float_info.min}"
             )
 
     @classmethod
@@ -162,8 +167,8 @@ def joint_epsilon_upper(
     """Coalition bound via advanced composition of k*n per-query releases.
 
     Leading term sqrt(k) eps_acc sqrt(ln(1/delta)/ln(1/delta_acc)) for any
-    composition slack delta in (0, 1), delta_acc by default; the residual
-    is the explicit second-order composition term
+    normal (not subnormal) composition slack delta in (0, 1), delta_acc by
+    default; the residual is the explicit second-order composition term
     2 k n eps_q^2 = k eps_acc^2 / ln(1/delta_acc), never silently dropped.
     """
     if k < 1:

@@ -9,11 +9,12 @@ falsification gates over sweep grids.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtr
-from scipy.stats import rankdata
 
 from . import accounting
 from .encoding import hash_fields
@@ -227,6 +228,12 @@ def run_sweep(
     diversified, and for topk_hit the hit count from Binomial(kn, p_b),
     with p_b computed from a fresh background (see ``_topk_hit_prob``).
     ``full_sim`` simulates every release and is the reference.
+
+    Cells are simulated on worker threads, one per CPU. Each cell draws
+    from its own generator seeded by ``cell_seed``, so no result depends
+    on the thread count or the schedule. Everything else (sigma, seeds,
+    AUC, standard errors, predictions) runs on the calling thread, and
+    results are stored in grid order.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
@@ -237,15 +244,25 @@ def run_sweep(
         grid=list(grid), auc={}, delong_se={}, trials=trials, mode=mode,
         adversary=config.adversary,
     )
-    for k, eps in grid:
-        cfg = replace(config, k=k)
-        sigma = accounting.calibrate_sigma(eps, delta_acc, cfg.n_per_account)
-        rng = np.random.default_rng(cell_seed(master_seed, k, eps, mode, cfg.regime))
-        if config.adversary == "topk_hit":
-            simulate = _exact_topk_cell if mode == "sufficient_stat" else _simulate_topk_cell
-            s_in, s_out = simulate(rng, cfg, sigma, trials)
-        else:
-            s_in, s_out = _simulate_scalar_cell(rng, cfg, sigma, trials, mode)
+    if config.adversary != "topk_hit":
+        def simulate(rng, cfg, sigma, trials):
+            return _simulate_scalar_cell(rng, cfg, sigma, trials, mode)
+    elif mode == "sufficient_stat":
+        simulate = _exact_topk_cell
+    else:
+        simulate = _simulate_topk_cell
+    # the cells' numpy/scipy loops release the GIL, so threads overlap them;
+    # results are read once the pool has joined, so this thread waits once
+    workers = min(os.cpu_count() or 1, max(len(result.grid), 1))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        cells = []
+        for k, eps in result.grid:
+            cfg = replace(config, k=k)
+            sigma = accounting.calibrate_sigma(eps, delta_acc, cfg.n_per_account)
+            rng = np.random.default_rng(cell_seed(master_seed, k, eps, mode, cfg.regime))
+            cells.append((k, eps, cfg, pool.submit(simulate, rng, cfg, sigma, trials)))
+    for k, eps, cfg, cell in cells:
+        s_in, s_out = cell.result()
         key = (k, eps)
         result.auc[key] = mann_whitney_auc(s_in, s_out)
         result.delong_se[key] = delong_se(s_in, s_out)
@@ -260,13 +277,29 @@ def run_sweep(
     return result
 
 
+def _midranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``a``, each run of tied values sharing the mean of
+    its positions (scipy.stats.rankdata's default); every rank is NaN when
+    any value is. Midranks are half-integers, so they are exact."""
+    order = np.argsort(a, kind="stable")
+    ranked = a[order]
+    if a.size and np.isnan(ranked[-1]):  # NaN sorts last
+        return np.full(a.size, np.nan)
+    # 0-based start of each run of equal values and its length
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    counts = np.diff(np.r_[starts, a.size])
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat(starts + 0.5 * (counts + 1), counts)
+    return ranks
+
+
 def mann_whitney_auc(in_stats, out_stats) -> float:
     """Pr[in > out] + 1/2 Pr[in = out] over all pairs, via midranks."""
     x = np.asarray(in_stats, dtype=np.float64)
     y = np.asarray(out_stats, dtype=np.float64)
     if x.size == 0 or y.size == 0:
         raise ValueError("empty sample")
-    ranks = rankdata(np.concatenate([x, y]))
+    ranks = _midranks(np.concatenate([x, y]))
     return float((ranks[: x.size].sum() - x.size * (x.size + 1) / 2.0) / (x.size * y.size))
 
 
@@ -277,9 +310,9 @@ def delong_se(in_stats, out_stats) -> float:
     m, n = x.size, y.size
     if m < 2 or n < 2:
         raise ValueError("need at least 2 observations per sample")
-    all_ranks = rankdata(np.concatenate([x, y]))
-    v10 = (all_ranks[:m] - rankdata(x)) / n          # placements of members
-    v01 = 1.0 - (all_ranks[m:] - rankdata(y)) / m    # placements of non-members
+    all_ranks = _midranks(np.concatenate([x, y]))
+    v10 = (all_ranks[:m] - _midranks(x)) / n          # placements of members
+    v01 = 1.0 - (all_ranks[m:] - _midranks(y)) / m    # placements of non-members
     s10 = np.var(v10, ddof=1)
     s01 = np.var(v01, ddof=1)
     return float(math.sqrt(s10 / m + s01 / n))

@@ -134,14 +134,17 @@ def _most_accounts(rows, cols, accounts: np.ndarray) -> int:
     """Most distinct accounts in one connected component of the graph with
     the edges (rows, cols) on the nodes 0..len(accounts)-1, where
     ``accounts`` holds each node's account as a non-negative int; 0 when
-    there is no edge. Only the ends of edges are counted: every other
+    there is no edge. Only the nodes with an edge are counted: every other
     component is one node of one account."""
     if len(rows) == 0:
         return 0
     _, labels = _components(rows, cols, len(accounts))
-    ends = np.concatenate([rows, cols])
+    has_edge = np.zeros(len(accounts), dtype=bool)
+    has_edge[rows] = True
+    has_edge[cols] = True
+    nodes = np.flatnonzero(has_edge)
     stride = int(accounts.max()) + 1
-    component_accounts = np.unique(labels[ends].astype(np.int64) * stride + accounts[ends])
+    component_accounts = np.unique(labels[nodes].astype(np.int64) * stride + accounts[nodes])
     return int(np.bincount(component_accounts // stride).max())
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 from collections import namedtuple
 
 import pytest
@@ -83,6 +84,27 @@ class TestPolicyParams:
             base.update(kwargs)
             with pytest.raises(ValueError):
                 acc.PolicyParams(**base)
+
+    # ln(1/delta) is inf for a subnormal delta, so the bounds would read 0 or inf
+    def test_subnormal_delta_acc_rejected(self):
+        with pytest.raises(ValueError, match="delta_acc"):
+            acc.PolicyParams(eps_acc=1, delta_acc=5e-324, n_queries=10, sigma=1.0,
+                             k_max=10, delta_policy=1e-3)
+
+    def test_calibrated_subnormal_delta_acc_rejected(self):
+        with pytest.raises(ValueError, match="delta_acc"):
+            acc.PolicyParams.calibrated(1.0, 5e-324, 10, 10, 1e-3)
+
+    def test_subnormal_slack_rejected(self):
+        # delta_policy - k_max * delta_acc is one ulp of 1e-300: subnormal
+        with pytest.raises(ValueError, match="ill-formed"):
+            acc.PolicyParams(eps_acc=1, delta_acc=1e-300, n_queries=10, sigma=1.0,
+                             k_max=1, delta_policy=math.nextafter(1e-300, 1.0))
+
+    def test_smallest_normal_delta_accepted(self):
+        p = acc.PolicyParams(eps_acc=1, delta_acc=sys.float_info.min, n_queries=10,
+                             sigma=1.0, k_max=10, delta_policy=1e-3)
+        assert 0.0 < acc.epsilon_audit(p)[0] < math.inf
 
 
 class TestCalibration:
@@ -394,14 +416,15 @@ class TestOneCompositionBound:
         ) / eps_acc
         assert acc.calibrate_sigma(eps_acc, delta_acc, n) == oracle
 
-    @given(valid_policies(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @given(valid_policies(), st.floats(sys.float_info.min, 1.0, exclude_max=True))
     def test_any_slack_in_open_unit_interval(self, policy, slack):
-        # a subnormal slack overflows 1/slack: the bound is then +inf, not an error
+        # subnormal slacks are refused (below): they overflow 1/slack
         bound = acc.joint_epsilon_upper(policy, policy.k_max, slack)
-        assert bound.epsilon > 0
+        assert 0 < bound.epsilon < math.inf
         assert bound.delta == slack + policy.k_max * policy.delta_acc
 
-    @pytest.mark.parametrize("slack", [0.0, 1.0, -1e-9, 1.5, math.nan])
+    @pytest.mark.parametrize("slack", [0.0, 1.0, -1e-9, 1.5, math.nan, 5e-324,
+                                       sys.float_info.min / 2])
     def test_slack_outside_open_unit_interval_rejected(self, slack):
         with pytest.raises(ValueError, match="delta_slack"):
             acc.joint_epsilon_upper(make_policy(), 3, slack)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
-from scipy.stats import ks_2samp, norm
+from scipy.stats import ks_2samp, norm, rankdata
 
 from collusion_audit import accounting, attacks, defaults
 from collusion_audit.attacks import CoalitionConfig, SweepResult
@@ -89,6 +89,48 @@ class TestDelongSe:
         assert abs(se - bse) / bse <= 0.15
 
 
+def rankdata_auc(x, y):
+    """mann_whitney_auc as written on scipy.stats.rankdata."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    ranks = rankdata(np.concatenate([x, y]))
+    return float((ranks[: x.size].sum() - x.size * (x.size + 1) / 2.0) / (x.size * y.size))
+
+
+def rankdata_delong_se(x, y):
+    """delong_se as written on scipy.stats.rankdata."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    m, n = x.size, y.size
+    all_ranks = rankdata(np.concatenate([x, y]))
+    v10 = (all_ranks[:m] - rankdata(x)) / n
+    v01 = 1.0 - (all_ranks[m:] - rankdata(y)) / m
+    return float(math.sqrt(np.var(v10, ddof=1) / m + np.var(v01, ddof=1) / n))
+
+
+# few distinct values, so ties are common, with both zeros, both infinities and NaN
+tied_floats = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e300, math.inf, -math.inf,
+                               math.nan]) | st.floats(-3, 3, allow_nan=False)
+
+
+def same_bits(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestMidranks:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(tied_floats, max_size=40))
+    def test_matches_scipy_rankdata(self, values):
+        a = np.array(values, dtype=np.float64)
+        assert np.array_equal(attacks._midranks(a), rankdata(a), equal_nan=True)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(tied_floats, min_size=2, max_size=30),
+           st.lists(tied_floats, min_size=2, max_size=30))
+    def test_auc_and_se_keep_their_bits(self, x, y):
+        assert same_bits(attacks.mann_whitney_auc(x, y), rankdata_auc(x, y))
+        with np.errstate(invalid="ignore"):
+            assert same_bits(attacks.delong_se(x, y), rankdata_delong_se(x, y))
+
+
 class TestCoalitionConfig:
     @pytest.mark.parametrize("K, n_background", [(0, 50), (-1, 50), (51, 50), (1, 0)])
     def test_topk_K_outside_background_rejected(self, K, n_background):
@@ -156,6 +198,34 @@ class TestRunSweep:
         b = attacks.run_sweep([(2, 1.0), (5, 1.0)], cfg, defaults.POLICY_TEMPLATE, 100,
                               "sufficient_stat", 3)
         assert a.auc[(2, 1.0)] == b.auc[(2, 1.0)]
+
+
+POOL_GRID = [(1, 4.0), (2, 4.0), (5, 8.0), (3, 16.0), (20, 16.0)]
+
+
+@pytest.mark.parametrize("adversary, mode", [
+    (adversary, mode) for adversary in attacks.ADVERSARIES
+    for mode in ("full_sim", "sufficient_stat")])
+def test_pooled_sweep_equals_one_cell_sweeps(adversary, mode, monkeypatch):
+    # more worker threads than cores: no draw depends on the schedule
+    cfg = CoalitionConfig(k=1, n_per_account=8, adversary=adversary,
+                          rho=0.5 if adversary == "diversified" else None)
+    monkeypatch.setattr(attacks.os, "cpu_count", lambda: 8)
+    pooled = attacks.run_sweep(POOL_GRID, cfg, defaults.POLICY_TEMPLATE, 30, mode, 4)
+    assert list(pooled.auc) == POOL_GRID
+    for cell in POOL_GRID:
+        one = attacks.run_sweep([cell], cfg, defaults.POLICY_TEMPLATE, 30, mode, 4)
+        for a, b in zip(pooled.stats[cell], one.stats[cell]):
+            assert np.array_equal(a, b)
+        assert pooled.auc[cell] == one.auc[cell]
+        assert pooled.delong_se[cell] == one.delong_se[cell]
+        assert pooled.predicted.get(cell) == one.predicted.get(cell)
+
+
+def test_empty_grid_gives_empty_sweep():
+    res = attacks.run_sweep([], CoalitionConfig(k=1, n_per_account=10),
+                            defaults.POLICY_TEMPLATE, 10, "sufficient_stat", 0)
+    assert res.grid == [] and res.auc == {} and res.stats == {}
 
 
 def quad_hit_prob(bg, planted, sigma, K):

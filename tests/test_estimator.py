@@ -208,6 +208,31 @@ class TestEstimateProperties:
         assert max(fast, 1) == generic
 
 
+def edge_ends_most_accounts(rows, cols, accounts):
+    """``_most_accounts`` as first written: np.unique over the
+    (component, account) codes of both ends of every edge."""
+    if len(rows) == 0:
+        return 0
+    _, labels = est_mod._components(rows, cols, len(accounts))
+    ends = np.concatenate([rows, cols])
+    stride = int(accounts.max()) + 1
+    component_accounts = np.unique(labels[ends].astype(np.int64) * stride + accounts[ends])
+    return int(np.bincount(component_accounts // stride).max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 9), min_size=n, max_size=n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))))
+def test_most_accounts_matches_edge_ends_formula(graph):
+    accounts, edges = graph
+    accounts = np.array(accounts)
+    rows = np.array([i for i, _ in edges], dtype=np.intp)
+    cols = np.array([j for _, j in edges], dtype=np.intp)
+    assert (est_mod._most_accounts(rows, cols, accounts)
+            == edge_ends_most_accounts(rows, cols, accounts))
+
+
 def window(seed, n, d, n_accounts):
     """n queries with duplicated rows (cosine exactly 1), rows of another
     dimension, and zero, non-finite and non-unit rows."""

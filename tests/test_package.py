@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,3 +118,12 @@ def test_unread_parameter_check_sees_them():
 def test_parameters_are_read(name):
     # a parameter the body never reads is a knob that selects nothing
     assert unread_parameters((PACKAGE_DIR / f"{name}.py").read_text()) == []
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about 35 MB and 0.9 s to import; nothing in src/ needs it
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    code = "import sys, collusion_audit.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
