@@ -11,11 +11,14 @@ account population against three collusion patterns:
   P-C  probes drawn iid from a small set of fixed paraphrase intents
 
 The threshold graph is built one block of Gram rows at a time over the
-upper triangle (``_gram_blocks``), keeping only the edges, so n queries
-take O(n^2 d) time but O(_BLOCK_ROWS * n + edges) memory; a block's
-edges are read with one flat nonzero over its thresholded cosines, split
-into (row, col) by divmod. Components come from scipy's
-connected_components on the edge list.
+upper triangle (``_gram_blocks``), so n queries take O(n^2 d) time. The
+estimator keeps per block only the joins that give the graph's
+components (``_component_edges``), folded into a forest once they
+outnumber the nodes: O(_BLOCK_ROWS * n) memory however dense a cluster
+is (2,000 identical probes are 2 million edges).
+The calibration's null pools keep every edge, each block's read with one
+flat nonzero over its thresholded cosines, split into (row, col) by
+divmod (``_edges``). Components come from scipy's connected_components.
 
 Calibration exploits the structure of the patterns for speed: detection
 at threshold theta is equivalent to the maximum cross-account cosine
@@ -123,11 +126,61 @@ def _edges(Q: np.ndarray, theta: float):
     return np.concatenate(rows), np.concatenate(cols)
 
 
+def _component_edges(Q: np.ndarray, theta: float):
+    """Index arrays (rows, cols) of a graph on the rows of ``Q`` with the
+    same connected components, and the same nodes with an edge, as
+    ``_edges(Q, theta)``, in at most n edges (2n + _BLOCK_ROWS**2 while a
+    block is added): O(n) memory however dense a cluster is. In each
+    block of Gram rows, each column with an edge is joined to the first
+    row it meets, and each row to the first rows of the columns it meets,
+    so the two ends of every edge stay connected; once the joins
+    outnumber the nodes, ``_stars`` folds them into a forest."""
+    n = len(Q)
+    rows, cols = np.empty(0, np.intp), np.empty(0, np.intp)
+    for lo, G in _gram_blocks(Q):
+        B = G >= theta - _COS_TOL
+        hit = np.flatnonzero(B.any(axis=0))
+        if len(hit) == 0:
+            continue
+        first = B[:, hit].argmax(axis=0)
+        order = np.argsort(first, kind="stable")
+        heads, starts = np.unique(first[order], return_index=True)
+        r, j = np.nonzero(np.logical_or.reduceat(B[:, hit[order]], starts, axis=1))
+        rows = np.concatenate([rows, lo + first, lo + r])
+        cols = np.concatenate([cols, lo + hit, lo + heads[j]])
+        if len(rows) > n:
+            rows, cols = _stars(rows, cols, n)
+    return rows, cols
+
+
 def _components(rows, cols, n: int):
     """(count, labels) of the connected components of the graph on n
     nodes with the undirected edges (rows, cols)."""
     graph = csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n, n))
     return connected_components(graph, directed=False)
+
+
+def _touched(rows, cols, n: int):
+    """(labels, nodes): the component label of each of n nodes in the graph
+    with the edges (rows, cols), and the nodes with an edge, ascending."""
+    _, labels = _components(rows, cols, n)
+    has_edge = np.zeros(n, dtype=bool)
+    has_edge[rows] = True
+    has_edge[cols] = True
+    return labels, np.flatnonzero(has_edge)
+
+
+def _stars(rows, cols, n: int):
+    """Edges (hubs, spokes), hubs < spokes, from the smallest node of each
+    component of the graph with the edges (rows, cols) on n nodes to each
+    of its other nodes: the same components, and the same nodes with an
+    edge where no component is one node with a self-loop, in fewer edges
+    than nodes."""
+    labels, nodes = _touched(rows, cols, n)
+    _, first, which = np.unique(labels[nodes], return_index=True, return_inverse=True)
+    hubs = nodes[first[which]]
+    spoke = hubs != nodes
+    return hubs[spoke], nodes[spoke]
 
 
 def _most_accounts(rows, cols, accounts: np.ndarray) -> int:
@@ -138,11 +191,7 @@ def _most_accounts(rows, cols, accounts: np.ndarray) -> int:
     component is one node of one account."""
     if len(rows) == 0:
         return 0
-    _, labels = _components(rows, cols, len(accounts))
-    has_edge = np.zeros(len(accounts), dtype=bool)
-    has_edge[rows] = True
-    has_edge[cols] = True
-    nodes = np.flatnonzero(has_edge)
+    labels, nodes = _touched(rows, cols, len(accounts))
     stride = int(accounts.max()) + 1
     component_accounts = np.unique(labels[nodes].astype(np.int64) * stride + accounts[nodes])
     return int(np.bincount(component_accounts // stride).max())
@@ -172,7 +221,7 @@ def estimate(queries, params: EstimatorParams) -> CoalitionEstimate:
         Q[off] /= norms[off, None]
         ids = {}
         codes = np.array([ids.setdefault(a, len(ids)) for a in accounts])[usable]
-        rows, cols = _edges(Q[usable], params.theta)
+        rows, cols = _component_edges(Q[usable], params.theta)
         largest = max(largest, _most_accounts(rows, cols, codes))
     return CoalitionEstimate(largest)
 
@@ -266,7 +315,7 @@ def _colluders_connected(Q_col: np.ndarray, choices, pattern: str, k: int, n: in
     c0 = float(np.min(Q_col @ qstar))
     if c0 >= 0.0 and math.cos(2.0 * math.acos(min(1.0, c0))) >= theta:
         return True
-    return _components(*_edges(Q_col, theta), k * n)[0] == 1
+    return _components(*_component_edges(Q_col, theta), k * n)[0] == 1
 
 
 def calibrate(

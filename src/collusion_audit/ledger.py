@@ -32,7 +32,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .encoding import canonical, hash_fields, sha256
+from .encoding import canonical, create_file, hash_fields, sha256
 from .harness import NOISE_DERIVATION, embedding_digest
 
 __all__ = [
@@ -460,13 +460,14 @@ def verify_receipt(receipt: Receipt, public_key: Ed25519PublicKey,
 # --- persistence ----------------------------------------------------------
 
 def save_ledger(ledger: MerkleLedger, path) -> None:
-    """Length-prefixed record file plus a root journal alongside."""
-    with open(path, "wb") as fh:
+    """Length-prefixed record file plus a root journal alongside, each
+    created as a new file (``create_file``)."""
+    with create_file(path, "wb") as fh:
         for rec in ledger.records:
             blob = canonical(rec.account_id, rec.tenant_id, rec.query_digest,
                              rec.topk_digest, rec.timestamp)
             fh.write(len(blob).to_bytes(4, "big") + blob)
-    with open(str(path) + ".roots", "wb") as fh:
+    with create_file(str(path) + ".roots", "wb") as fh:
         for i in range(len(ledger) + 1):
             fh.write(ledger.root_at(i))
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import platform
 
 import numpy as np
@@ -205,6 +206,76 @@ class TestOutputErrors:
                         "--figure", "fig3a", "--out", str(dst)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_manifest_path_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").mkdir()
+        assert run_cli(["epsilon_table", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_figure_out_is_a_directory(self, tmp_path, capsys):
+        src = tmp_path / "empty.csv"
+        src.write_text("theta,null_fpr,pattern,k_true,mean_khat,tpr\n")
+        dst = tmp_path / "fig3a.csv"
+        dst.mkdir()
+        assert run_cli(["regen-figure", "--results", str(src),
+                        "--figure", "fig3a", "--out", str(dst)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestArtifactsAreNewFiles:
+    """Each artifact is created as a new file: whatever was at its path is
+    replaced, never truncated and rewritten in place."""
+
+    @pytest.mark.parametrize("experiment,names", [
+        ("topk_sweep", ["topk_sweep.csv", "manifest.json"]),
+        ("scalar_sweep", ["scalar_sweep.csv", "gates.json", "manifest.json"]),
+        ("estimator_calibration", ["estimator_calibration.csv", "operating_theta.json",
+                                   "manifest.json"]),
+        ("audit_e2e", ["verdict.json", "manifest.json"]),
+    ])
+    def test_rerun_replaces_each_file(self, tmp_path, experiment, names):
+        out, fresh, links = tmp_path / "out", tmp_path / "fresh", tmp_path / "links"
+        assert run_cli([experiment, "--out", str(out), "--profile", "smoke",
+                        "--seed", "1"]) == 0
+        links.mkdir()
+        first = {}
+        for name in names:
+            os.link(out / name, links / name)
+            first[name] = (out / name).read_bytes()
+        for o in (out, fresh):
+            assert run_cli([experiment, "--out", str(o), "--profile", "smoke",
+                            "--seed", "2"]) == 0
+        for name in names:
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+            # the first run's file is untouched: its bytes, its link count
+            assert (links / name).read_bytes() == first[name]
+            assert not (out / name).samefile(links / name)
+        # the seed is in the manifest, so there a write-through would show
+        assert (links / "manifest.json").read_bytes() != (out / "manifest.json").read_bytes()
+
+    def test_symlink_is_replaced_not_followed(self, tmp_path):
+        target = tmp_path / "elsewhere.json"
+        target.write_text("keep")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").symlink_to(target)
+        assert run_cli(["epsilon_table", "--out", str(out)]) == 0
+        assert target.read_text() == "keep"
+        assert not (out / "manifest.json").is_symlink()
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 0
+
+    def test_figure_out_may_be_its_results(self, tmp_path):
+        src = tmp_path / "results.csv"
+        src.write_text("k,eps_acc,mode,adversary,auc,delong_se,trials,predicted_auc\n"
+                       "1,1,sufficient_stat,pooled_mean,0.6,0.01,100,0.6\n"
+                       "4,1,sufficient_stat,pooled_mean,0.7,0.02,100,nan\n")
+        assert run_cli(["regen-figure", "--results", str(src),
+                        "--figure", "fig1a", "--out", str(src)]) == 0
+        rows = read_csv(src)
+        assert [(r["x"], r["y"], r["series"]) for r in rows] == [
+            ("1", "0.6", "eps1"), ("1", "0.6", "pred-eps1"), ("4", "0.7", "eps1")]
 
 
 class TestReproducibility:

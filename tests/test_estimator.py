@@ -473,6 +473,55 @@ def test_estimate_memory_is_blocked():
     assert peak < 300 * 2**20
 
 
+def touched_partition(rows, cols, n):
+    """The node sets of the components of the graph on n nodes with the
+    edges (rows, cols), each cut to the nodes with an edge."""
+    graph = csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    parts = {}
+    for node in sorted(set(rows.tolist()) | set(cols.tolist())):
+        parts.setdefault(labels[node], set()).add(node)
+    return sorted(map(sorted, parts.values()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=st.sampled_from([5, est_mod._BLOCK_ROWS]),
+       seed=st.integers(0, 2**32 - 1),
+       n=st.integers(1, 300),
+       d=st.integers(2, 6),
+       copies=st.integers(0, 200),
+       theta=st.floats(0.0, 0.99))
+def test_component_edges_keep_components_and_nodes_with_an_edge(block, seed, n, d, copies, theta):
+    # copies of a few rows make dense clusters: blocks with more edges
+    # than columns
+    rng = np.random.default_rng(seed)
+    Q = random_unit_vectors(rng, n, d)
+    Q[rng.integers(0, n, copies % n)] = Q[rng.integers(0, 1 + n // 20, copies % n)]
+    with mock.patch.object(est_mod, "_BLOCK_ROWS", block):
+        rows, cols = est_mod._edges(Q, theta)
+        c_rows, c_cols = est_mod._component_edges(Q, theta)
+    assert touched_partition(c_rows, c_cols, n) == touched_partition(rows, cols, n)
+    assert len(c_rows) <= n
+
+
+def test_dense_cluster_memory_is_linear():
+    # 2,000 identical probes are 2 million edges: the edge list and the
+    # sparse graph built from it took 89 MB in the calibration's slow path
+    rng = np.random.default_rng(3)
+    probe = random_unit_vectors(rng, 1, 32)
+    Q = np.vstack([np.repeat(probe, 2000, axis=0), random_unit_vectors(rng, 1000, 32)])
+    accounts = [f"c{i // 100}" if i < 2000 else f"u{i // 100}" for i in range(3000)]
+    queries = queries_from(accounts, Q)
+    tracemalloc.start()
+    try:
+        got = estimate(queries, EstimatorParams(0.8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.largest_cluster_accounts == 20
+    assert peak < 16 * 2**20
+
+
 class TestCalibrateSmoke:
     def test_trials_below_one_rejected(self):
         with pytest.raises(ValueError, match="trials"):

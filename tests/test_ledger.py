@@ -1,4 +1,6 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -421,6 +423,24 @@ class TestPersistence:
         path.write_bytes((tmp_path / "short.bin").read_bytes())
         with pytest.raises(ValueError, match=r"holds 192 bytes; 4 records need"):
             lg.load_ledger(path)
+
+    def test_resave_replaces_both_files(self, tmp_path):
+        # a save creates each file anew: hard links to the first save's
+        # files keep its bytes, and the path holds what a fresh save writes
+        path, fresh, links = tmp_path / "ledger.bin", tmp_path / "fresh.bin", tmp_path / "links"
+        lg.save_ledger(build(5), path)
+        links.mkdir()
+        first = {}
+        for suffix in ("", ".roots"):
+            os.link(f"{path}{suffix}", links / f"l{suffix}")
+            first[suffix] = Path(f"{path}{suffix}").read_bytes()
+        lg.save_ledger(build(7), path)
+        lg.save_ledger(build(7), fresh)
+        for suffix in ("", ".roots"):
+            assert Path(f"{path}{suffix}").read_bytes() == Path(f"{fresh}{suffix}").read_bytes()
+            assert (links / f"l{suffix}").read_bytes() == first[suffix]
+            assert first[suffix] != Path(f"{path}{suffix}").read_bytes()
+        assert lg.load_ledger(path).root == build(7).root
 
 
 @settings(max_examples=20, deadline=None)
