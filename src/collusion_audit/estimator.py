@@ -99,13 +99,19 @@ def _gram_blocks(Q: np.ndarray, mask=None):
     Yields ``(lo, G)``: ``G[r, c] = Q[lo + r] . Q[lo + c]`` for up to
     _BLOCK_ROWS rows from ``lo`` and every column from ``lo``, set to -inf
     where ``c <= r``; ``mask(lo, G)``, if given, sets to -inf the pairs it
-    rules out. Memory is O(_BLOCK_ROWS * n): the n x n product is never
-    formed.
+    rules out. Memory is one block, _BLOCK_ROWS * n cosines: the n x n
+    product is never formed, and each block is written over the previous
+    one, so a caller must be done with a block before it asks for the
+    next. Each product keeps its own (rows, n - lo) shape, on which BLAS
+    rounding depends.
     """
+    n = len(Q)
     below = np.tri(_BLOCK_ROWS, dtype=bool)
-    for lo in range(0, len(Q), _BLOCK_ROWS):
-        G = Q[lo:lo + _BLOCK_ROWS] @ Q[lo:].T
-        m = len(G)
+    store = np.empty(min(n, _BLOCK_ROWS) * n, dtype=Q.dtype)
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows = Q[lo:lo + _BLOCK_ROWS]
+        m = len(rows)
+        G = np.matmul(rows, Q[lo:].T, out=store[:m * (n - lo)].reshape(m, n - lo))
         np.copyto(G[:, :m], -np.inf, where=below[:m, :m])
         if mask is not None:
             mask(lo, G)

@@ -19,6 +19,10 @@ subtree. On an n-leaf ledger the operations cost, in SHA-256 calls:
                      extension are a dict lookup
   verify_receipt     none: the signature check, then the record and the
                      root at issue read from the root journal, O(1)
+
+The tenant-index commitment ``index_root`` over an (N, d) array costs
+3N - 1 SHA-256 calls (a digest and a leaf hash per row, N - 1 interior
+nodes; one for N = 0), read from one big-endian copy of the array.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+import numpy as np
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
@@ -33,7 +38,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 
 from .encoding import canonical, create_file, hash_fields, sha256
-from .harness import NOISE_DERIVATION, embedding_digest
+from .harness import NOISE_DERIVATION
 
 __all__ = [
     "CommitmentBundle",
@@ -87,7 +92,8 @@ def merkle_root(leaves: list) -> bytes:
         return sha256(_EMPTY_MARKER)
     level = list(leaves)
     while len(level) > 1:
-        paired = [_node_hash(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+        pairs = iter(level)
+        paired = [_node_hash(left, right) for left, right in zip(pairs, pairs)]
         if len(level) % 2:
             paired.append(level[-1])
         level = paired
@@ -166,8 +172,17 @@ def policy_commitment(policy) -> bytes:
 
 def index_root(embeddings) -> bytes:
     """Tenant-index commitment: the Merkle root over the embedding digests
-    of an (N, d) array's rows, in position order."""
-    return merkle_root([_leaf_hash(embedding_digest(v)) for v in embeddings])
+    of an (N, d) array's rows, in position order.
+
+    Each leaf hashes the row's big-endian doubles, the bytes
+    ``harness.embedding_digest`` hashes, read from one big-endian copy of
+    the array. Anything but a 2-D array raises ValueError: the rows of a
+    1-D vector would be numpy scalars in native byte order.
+    """
+    rows = np.ascontiguousarray(embeddings, dtype=">f8")
+    if rows.ndim != 2:
+        raise ValueError(f"index_root takes an (N, d) array, not {rows.ndim}-D")
+    return merkle_root([_leaf_hash(sha256(row)) for row in rows])
 
 
 def commit_phase_a(policy, embedder_artifact_digest: bytes, indices: list,

@@ -433,6 +433,8 @@ class TestMalformedWitness:
          "witness query vector is missing or not of the index dimension"),
         ("opened_embeddings", None, "tenant_containment",
          "opened embeddings are not an (N, d) array"),
+        ("opened_embeddings", np.full(16, 0.25), "tenant_containment",
+         "opened embeddings are not an (N, d) array"),
         ("window_seed", None, "noise_derivation",
          "witness seed inconsistent with c_seed"),
     ])
@@ -563,17 +565,17 @@ class TestIndexRootMemo:
         service = make_service(docs=12)
         receipts = serve_window(service)  # 15 records over two tenants
         calls = []
-        digest = ledger.embedding_digest  # the binding index_root uses
-        monkeypatch.setattr(ledger, "embedding_digest",
-                            lambda v: calls.append(1) or digest(v))
+        build = audit.index_root  # the binding verify_record uses
+        monkeypatch.setattr(audit, "index_root",
+                            lambda opened: calls.append(1) or build(opened))
         verdict = run_audit(service.ledger, service.commitments, service.policy,
                             receipts, EST_PARAMS, FULL)
         assert verdict.status == "PASS"
-        assert len(calls) == 2 * 12
+        assert len(calls) == 2
         calls.clear()
         for pos in range(len(service.ledger)):  # no table: one build per call
             verify_record(service.ledger.record(pos), service.commitments, service.policy)
-        assert len(calls) == 15 * 12
+        assert len(calls) == 15
 
     def test_one_seed_hash_and_policy_digest_per_window(self, monkeypatch):
         service = make_service()

@@ -522,6 +522,22 @@ def test_dense_cluster_memory_is_linear():
     assert peak < 16 * 2**20
 
 
+def test_one_gram_block_alive_at_a_time():
+    # a block holds _BLOCK_ROWS x n float64 cosines, 20.5 MB at n = 20,000;
+    # computing the next block while the last one is held peaked at two
+    n = 20_000
+    Q = random_unit_vectors(np.random.default_rng(4), n, 8)
+    block = est_mod._BLOCK_ROWS * n * Q.itemsize
+    tracemalloc.start()
+    try:
+        rows, _ = est_mod._edges(Q, 0.999)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) < n
+    assert peak < 1.25 * block
+
+
 class TestCalibrateSmoke:
     def test_trials_below_one_rejected(self):
         with pytest.raises(ValueError, match="trials"):

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from collusion_audit import ledger as lg
 from collusion_audit.accounting import PolicyParams
 from collusion_audit.encoding import sha256
-from collusion_audit.harness import TenantIndex, random_unit_vectors
+from collusion_audit.harness import TenantIndex, embedding_digest, random_unit_vectors
 
 
 def rec(i, account="a", tenant="t"):
@@ -334,6 +335,55 @@ class TestBinding:
         policy = PolicyParams.calibrated(1.0, 1e-6, 10, 10, 1e-3)
         bundle = lg.commit_phase_a(policy, sha256(b"e"), [], b"\x00" * 32)
         assert bundle.c_idx == {}
+
+
+def ref_index_root(embeddings):
+    """The index commitment as first defined: one embedding digest per row."""
+    return lg.merkle_root([lg._leaf_hash(embedding_digest(v)) for v in embeddings])
+
+
+@st.composite
+def index_arrays(draw):
+    """2-D arrays of every dtype and memory layout an opening can have,
+    with signed zeros, NaN, infinities and subnormals among the values."""
+    n, d = draw(st.integers(0, 70)), draw(st.integers(0, 40))
+    dtype = np.dtype(draw(st.sampled_from(["<f8", "<f4", "<i8", ">f8"])))
+    layout = draw(st.sampled_from(["C", "F", "row-strided", "column-strided"]))
+    if dtype.kind == "i":
+        elements = st.integers(-2**63, 2**63 - 1)
+    else:
+        info = np.finfo(dtype)
+        specials = [-0.0, math.nan, math.inf, -math.inf, float(info.smallest_subnormal),
+                    -float(info.smallest_subnormal)]
+        elements = st.one_of(st.sampled_from(specials), st.floats(width=info.bits))
+    shape = {"row-strided": (2 * n, d), "column-strided": (n, 2 * d)}.get(layout, (n, d))
+    E = draw(hnp.arrays(dtype, shape, elements=elements))
+    return {"C": E, "F": np.asfortranarray(E), "row-strided": E[::2],
+            "column-strided": E[:, ::2]}[layout]
+
+
+class TestIndexRoot:
+    @settings(max_examples=300, deadline=None)
+    @given(index_arrays())
+    def test_equals_one_digest_per_row(self, E):
+        assert lg.index_root(E) == ref_index_root(E)
+
+    def test_pinned_root_and_hash_count(self, monkeypatch):
+        # root recorded with ref_index_root; 3N - 1 hashes as the ledger
+        # module's docstring states
+        E = random_unit_vectors(np.random.default_rng(2000), 2000, 64)
+        calls = []
+        monkeypatch.setattr(lg, "sha256", lambda data: calls.append(1) or sha256(data))
+        assert lg.index_root(E).hex() == (
+            "c289bc6e38ac94cf0ca9c4ce2100926e6aab442c823a1305f1f7cf3843eaf4ba")
+        assert len(calls) == 3 * 2000 - 1
+
+    @pytest.mark.parametrize("value", [np.float64(0.5), np.full(16, 0.25),
+                                       np.zeros((2, 3, 4))],
+                             ids=["0-d", "1-d", "3-d"])
+    def test_only_two_dimensional_arrays(self, value):
+        with pytest.raises(ValueError, match=r"\(N, d\) array"):
+            lg.index_root(value)
 
 
 class TestReceipts:
