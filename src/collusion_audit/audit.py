@@ -17,6 +17,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
 from . import accounting, estimator as est_mod, ledger as ledger_mod
 from .encoding import hash_fields, sha256
@@ -123,6 +124,7 @@ class AuditVerdict:
     eps_audit_headline: float | None = None      # present iff PASS
     eps_audit_full: float | None = None
     sampled: dict | None = None                  # {s, beta, eta} in sampled mode
+    receipts_rejected: int = 0                   # submitted receipts set aside
     witnesses: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
@@ -147,7 +149,8 @@ class AuditService:
         self.indices = {ix.tenant_id: ix for ix in indices}
         self.signing_key, self.public_key = ledger_mod.generate_test_keypair(signing_seed)
         self.ledger = MerkleLedger()
-        self.commitments = commit_phase_a(policy, _EMBEDDER_DIGEST, indices, window_seed)
+        self.commitments = commit_phase_a(policy, _EMBEDDER_DIGEST, indices, window_seed,
+                                          self.public_key)
         self.witness = WindowWitness(_EMBEDDER_DIGEST, window_seed, policy.sigma,
                                      {t: ix.embeddings for t, ix in self.indices.items()})
         self._clock = 0
@@ -288,9 +291,14 @@ def run_audit(ledger: MerkleLedger, commitments: CommitmentBundle, policy,
     Stops at the first witnessed violation. Each window witness, and each
     opening a verified record names, is checked once per call.
 
-    ``receipts`` is a list of (Receipt, issuer public key) pairs submitted
-    by accounts; ``published_root`` is the root the provider advertises
-    (defaults to the recomputed ledger root).
+    ``receipts`` is a list of (Receipt, public key) pairs submitted by
+    accounts. The key must be the committed receipt key
+    (``commitments.c_receipt_key``), and the receipt is checked under
+    that key (``verify_receipt``); a receipt submitted with another key,
+    malformed, or contradicting the journal without the committed key's
+    valid signature is set aside and counted in ``receipts_rejected``.
+    ``published_root`` is the root the provider advertises (defaults to
+    the recomputed ledger root).
     """
     verdict = AuditVerdict(status="PASS", delta_policy=policy.delta_policy,
                            k_max=policy.k_max)
@@ -303,6 +311,11 @@ def run_audit(ledger: MerkleLedger, commitments: CommitmentBundle, policy,
     if len(ledger) and commitments.published_at >= ledger.record(0).timestamp:
         return _fail(verdict, "commitment_integrity",
                      "commitments published after window opened")
+    try:
+        receipt_key = Ed25519PublicKey.from_public_bytes(commitments.c_receipt_key)
+    except (TypeError, ValueError) as exc:
+        return _fail(verdict, "commitment_integrity",
+                     f"committed receipt key does not load: {exc}")
     verdict.checks["commitment_integrity"] = "ok"
 
     # step 2: per-record claim verification
@@ -328,9 +341,14 @@ def run_audit(ledger: MerkleLedger, commitments: CommitmentBundle, policy,
         return _fail(verdict, "ledger_extension",
                      "published root is not the audited ledger's root")
     verdict.checks["ledger_extension"] = "ok"
-    for receipt, pk in receipts:
-        check = verify_receipt(receipt, pk, ledger)
-        if not check.consistent:
+    for receipt, key in receipts:
+        if not (isinstance(key, Ed25519PublicKey) and key == receipt_key):
+            verdict.receipts_rejected += 1
+            continue
+        check = verify_receipt(receipt, receipt_key, ledger)
+        if check.status == "rejected":
+            verdict.receipts_rejected += 1
+        elif not check.consistent:
             return _fail(verdict, "receipt_consistency",
                          f"{check.status}: {check.detail}")
     verdict.checks["receipt_consistency"] = "ok"

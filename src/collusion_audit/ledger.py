@@ -5,7 +5,10 @@ Merkle tree in the transparency-log style (RFC 6962 / RFC 9162 section
 the root of an n-leaf tree splits at the largest power of two strictly
 less than n, and both inclusion (audit path) and consistency (append-only
 extension) proofs are supported. Receipts are Ed25519-signed over the
-canonical serialization of their fields.
+canonical serialization of their fields, under the receipt key that the
+Phase A commitments hold. A receipt is an account's evidence against the
+provider: only one that contradicts the journal and carries the committed
+key's valid signature shows a violation.
 
 ``MerkleLedger`` stores the hash of every complete, aligned power-of-two
 subtree. On an n-leaf ledger the operations cost, in SHA-256 calls:
@@ -17,8 +20,9 @@ subtree. On an n-leaf ledger the operations cost, in SHA-256 calls:
   prove_extension    most one on the right edge, which is folded from stored
                      subtrees: O(log n); the sizes of the two roots of an
                      extension are a dict lookup
-  verify_receipt     none: the signature check, then the record and the
-                     root at issue read from the root journal, O(1)
+  verify_receipt     none: O(1) journal lookups (the record and the root at
+                     issue), plus one Ed25519 check only for a receipt that
+                     contradicts the journal
 
 The tenant-index commitment ``index_root`` over an (N, d) array costs
 3N - 1 SHA-256 calls (a digest and a leaf hash per row, N - 1 interior
@@ -151,10 +155,11 @@ class CommitmentBundle:
     c_idx: dict          # tenant_id -> vector-commitment root
     c_seed: bytes
     c_policy: bytes
+    c_receipt_key: bytes  # the provider's raw Ed25519 public key
     published_at: int    # logical timestamp; must precede the window
 
     def __post_init__(self):
-        for name in ("c_emb", "c_seed", "c_policy"):
+        for name in ("c_emb", "c_seed", "c_policy", "c_receipt_key"):
             if len(getattr(self, name)) != 32:
                 raise ValueError(f"{name} must be 32 bytes")
 
@@ -186,10 +191,10 @@ def index_root(embeddings) -> bytes:
 
 
 def commit_phase_a(policy, embedder_artifact_digest: bytes, indices: list,
-                   window_seed: bytes) -> CommitmentBundle:
+                   window_seed: bytes, receipt_key: Ed25519PublicKey) -> CommitmentBundle:
     """Pre-window commitments: embedder artifact, per-tenant index roots,
-    hashed window seed, and the policy digest, published at logical time
-    0, before the first record's timestamp."""
+    hashed window seed, the policy digest and the raw receipt key,
+    published at logical time 0, before the first record's timestamp."""
     if len(window_seed) != 32:
         raise ValueError("window seed must be 32 bytes")
     c_idx = {}
@@ -202,6 +207,7 @@ def commit_phase_a(policy, embedder_artifact_digest: bytes, indices: list,
         c_idx=c_idx,
         c_seed=sha256(window_seed),
         c_policy=policy_commitment(policy),
+        c_receipt_key=receipt_key.public_bytes_raw(),
         published_at=0,
     )
 
@@ -406,7 +412,7 @@ class Receipt:
 
 @dataclass(frozen=True)
 class ReceiptCheck:
-    status: str          # consistent | forgery_witness | non_inclusion_witness
+    status: str  # consistent | rejected | forgery_witness | non_inclusion_witness
     detail: str = ""
 
     @property
@@ -436,28 +442,29 @@ def issue_receipt(record: QueryRecord, position: int, root: bytes,
     return Receipt(**{**receipt.__dict__, "signature": sig})
 
 
-def verify_receipt(receipt: Receipt, public_key: Ed25519PublicKey,
-                   ledger: MerkleLedger) -> ReceiptCheck:
-    """Check signature, ledger presence, digest and account equality, and
-    that the root at issue is the journal's root at the receipt's
-    position, which one append-only tree extends to the current root by
-    construction. Each failure mode is a named witness class, never a
-    bare False or an exception."""
-    if not isinstance(receipt, Receipt) or not isinstance(public_key, Ed25519PublicKey):
-        return ReceiptCheck("forgery_witness", "malformed receipt: not a Receipt and an "
-                            f"Ed25519 key: {type(receipt).__name__}, {type(public_key).__name__}")
-    pos = receipt.leaf_position
+def _malformed(receipt) -> str:
+    """Why ``receipt`` is not a Receipt whose fields have their types, or
+    "" when it is one."""
+    if not isinstance(receipt, Receipt):
+        return f"not a Receipt: {type(receipt).__name__}"
+    if not isinstance(receipt.account_id, str):
+        return "account is not a str"
+    for name in ("query_digest", "topk_digest", "ledger_root_at_issue"):
+        value = getattr(receipt, name)
+        if not isinstance(value, bytes) or len(value) != 32:
+            return f"{name} is not 32 bytes"
     if not isinstance(receipt.signature, bytes):
-        return ReceiptCheck("forgery_witness", "malformed receipt: signature is not bytes")
+        return "signature is not bytes"
+    pos = receipt.leaf_position
     if type(pos) is not int or not 0 <= pos < 2**64:
-        return ReceiptCheck("forgery_witness",
-                            f"malformed receipt: leaf position {pos!r} is not a uint64")
-    try:
-        public_key.verify(receipt.signature, receipt.signed_payload())
-    except InvalidSignature:
-        return ReceiptCheck("forgery_witness", "bad signature")
-    except (TypeError, ValueError) as exc:  # a field with no canonical encoding
-        return ReceiptCheck("forgery_witness", f"malformed receipt: {exc}")
+        return f"leaf position {pos!r} is not a uint64"
+    return ""
+
+
+def _contradiction(receipt: Receipt, ledger: MerkleLedger) -> ReceiptCheck | None:
+    """The witness a well-formed receipt would be against the journal, or
+    None when the ledger holds its record and its root at issue."""
+    pos = receipt.leaf_position
     if pos >= len(ledger):
         return ReceiptCheck("non_inclusion_witness", "position beyond ledger")
     rec = ledger.record(pos)
@@ -469,7 +476,46 @@ def verify_receipt(receipt: Receipt, public_key: Ed25519PublicKey,
     # the root at issue must be the (pos+1)-prefix snapshot
     if ledger.root_at(pos + 1) != receipt.ledger_root_at_issue:
         return ReceiptCheck("forgery_witness", "root at issue inconsistent with ledger")
-    return ReceiptCheck("consistent")
+    return None
+
+
+def _signature_valid(public_key: Ed25519PublicKey, signature: bytes, payload: bytes) -> bool:
+    """The one Ed25519 verification the ledger makes."""
+    try:
+        public_key.verify(signature, payload)
+    except InvalidSignature:
+        return False
+    return True
+
+
+def verify_receipt(receipt: Receipt, public_key: Ed25519PublicKey,
+                   ledger: MerkleLedger) -> ReceiptCheck:
+    """Check a receipt against the journal, as evidence signed under
+    ``public_key``, the committed receipt key.
+
+    A receipt whose fields do not have their types is ``rejected``. A
+    receipt the journal agrees with (the record at its position has its
+    digests and account, and the journal's root at that position is its
+    root at issue) shows no violation and is ``consistent`` whatever its
+    signature: one append-only tree extends that root to the current one
+    by construction. Only a receipt that contradicts the journal has its
+    signature checked: valid, it is the named witness of a provider
+    violation; invalid, the receipt is ``rejected``. Never raises,
+    whatever the receipt.
+    """
+    reason = _malformed(receipt)
+    if reason:
+        return ReceiptCheck("rejected", f"malformed receipt: {reason}")
+    witness = _contradiction(receipt, ledger)
+    if witness is None:
+        return ReceiptCheck("consistent")
+    try:
+        payload = receipt.signed_payload()
+    except ValueError as exc:  # a str with no UTF-8 encoding
+        return ReceiptCheck("rejected", f"malformed receipt: {exc}")
+    if not _signature_valid(public_key, receipt.signature, payload):
+        return ReceiptCheck("rejected", "bad signature")
+    return witness
 
 
 # --- persistence ----------------------------------------------------------

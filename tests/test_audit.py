@@ -497,15 +497,205 @@ class TestMalformedWitness:
     ], ids=["negative", "beyond-uint64", "bool", "str-signature", "none-account",
             "none-receipt", "none-key", "bytes-key"])
     def test_malformed_receipt(self, submit):
+        # evidence that does not hold, or a key that is not the committed
+        # one, is set aside and counted, not charged to the provider
         service = make_service()
         receipts = serve_window(service)
         receipts[3] = submit(*receipts[3])
         verdict = run_audit(service.ledger, service.commitments, service.policy,
                             receipts, EST_PARAMS, FULL)
-        assert verdict.status == "FAIL"
-        assert verdict.witnesses[0]["check"] == "receipt_consistency"
-        assert verdict.witnesses[0]["witness"].startswith(
-            "forgery_witness: malformed receipt: ")
+        assert verdict.status == "PASS"
+        assert verdict.receipts_rejected == 1
+        assert verdict.checks["receipt_consistency"] == "ok"
+
+
+def ref_verify_receipt(receipt, public_key, ledger_):
+    """``ledger.verify_receipt`` as it was before receipts were checked as
+    evidence: every receipt's signature first, under the key submitted
+    with it, then the journal; any failure is a witness. The reference
+    the evidence check is compared against."""
+    if not isinstance(receipt, ledger.Receipt) or not isinstance(
+            public_key, ledger.Ed25519PublicKey):
+        return ledger.ReceiptCheck("forgery_witness", "malformed receipt: not a Receipt and an "
+                                   f"Ed25519 key: {type(receipt).__name__}, "
+                                   f"{type(public_key).__name__}")
+    pos = receipt.leaf_position
+    if not isinstance(receipt.signature, bytes):
+        return ledger.ReceiptCheck("forgery_witness", "malformed receipt: signature is not bytes")
+    if type(pos) is not int or not 0 <= pos < 2**64:
+        return ledger.ReceiptCheck("forgery_witness",
+                                   f"malformed receipt: leaf position {pos!r} is not a uint64")
+    try:
+        public_key.verify(receipt.signature, receipt.signed_payload())
+    except ledger.InvalidSignature:
+        return ledger.ReceiptCheck("forgery_witness", "bad signature")
+    except (TypeError, ValueError) as exc:
+        return ledger.ReceiptCheck("forgery_witness", f"malformed receipt: {exc}")
+    if pos >= len(ledger_):
+        return ledger.ReceiptCheck("non_inclusion_witness", "position beyond ledger")
+    rec = ledger_.record(pos)
+    if rec.query_digest != receipt.query_digest or rec.topk_digest != receipt.topk_digest:
+        return ledger.ReceiptCheck("forgery_witness", "ledger record digest mismatch")
+    if rec.account_id != receipt.account_id:
+        return ledger.ReceiptCheck("forgery_witness", "ledger record account differs from receipt")
+    if ledger_.root_at(pos + 1) != receipt.ledger_root_at_issue:
+        return ledger.ReceiptCheck("forgery_witness", "root at issue inconsistent with ledger")
+    return ledger.ReceiptCheck("consistent")
+
+
+def ref_unsigned(check) -> bool:
+    """Whether the reference turned the receipt down for its signature or
+    its form, not for what the journal says."""
+    return check.detail == "bad signature" or check.detail.startswith("malformed receipt")
+
+
+# Values of a receipt field's type; digests and roots include those of
+# other records, so that each journal check is reached.
+def receipt_values(service, field):
+    led = service.ledger
+    n = len(led)
+    return {
+        "account_id": st.sampled_from(["", "acct0", "acct1", "acct2", "acct9"]),
+        "query_digest": st.one_of(st.binary(min_size=32, max_size=32), st.sampled_from(
+            [led.record(i).query_digest for i in range(n)])),
+        "topk_digest": st.one_of(st.binary(min_size=32, max_size=32), st.sampled_from(
+            [led.record(i).topk_digest for i in range(n)])),
+        "leaf_position": st.one_of(st.integers(0, n + 1), st.integers(0, 2**64 - 1)),
+        "ledger_root_at_issue": st.one_of(st.binary(min_size=32, max_size=32),
+                                          st.sampled_from([led.root_at(i)
+                                                           for i in range(n + 1)])),
+        "signature": st.binary(min_size=64, max_size=64),
+    }[field]
+
+
+# Values no receipt field may hold: another type, a length other than 32
+# bytes, an int beyond uint64, a str with no UTF-8 encoding.
+WRONG_TYPES = [None, True, -1, 2**64, 1.5, "x", "\ud800", b"", b"\x00" * 31,
+               bytearray(32), np.uint64(3)]
+
+
+def wrong_values(field):
+    """The values of WRONG_TYPES ``field`` may not hold: any encodable str
+    is an account, and bytes of any length a signature."""
+    if field == "account_id":
+        return [v for v in WRONG_TYPES if v != "x"]
+    if field == "signature":
+        return [v for v in WRONG_TYPES if not isinstance(v, bytes)]
+    return WRONG_TYPES
+
+
+class TestReceiptEvidence:
+    """A receipt is an account's evidence against the provider: only one
+    that contradicts the journal under the committed key's valid
+    signature FAILs the audit; others are set aside and counted."""
+
+    @pytest.mark.parametrize("submitted", ["own", "committed"])
+    def test_account_signed_receipt_is_rejected(self, submitted):
+        # an account signs, with its own key, a receipt for a real record
+        # whose root at issue is no snapshot; the reference charged it to
+        # the provider
+        service = make_service()
+        receipts = serve_window(service)
+        sk, own = ledger.generate_test_keypair(b"\x0a" * 32)
+        receipt = issue_receipt(service.ledger.record(4), 4, sha256(b"no snapshot"), sk)
+        assert ref_verify_receipt(receipt, own, service.ledger) == ledger.ReceiptCheck(
+            "forgery_witness", "root at issue inconsistent with ledger")
+        receipts.append((receipt, own if submitted == "own" else service.public_key))
+        verdict = run_audit(service.ledger, service.commitments, service.policy,
+                            receipts, EST_PARAMS, FULL)
+        assert verdict.status == "PASS"
+        assert verdict.receipts_rejected == 1
+        assert verdict.checks["receipt_consistency"] == "ok"
+
+    def test_committed_key_that_does_not_load(self):
+        service = make_service()
+        receipts = serve_window(service)
+        commitments = dataclasses.replace(service.commitments, c_receipt_key="k" * 32)
+        verdict = run_audit(service.ledger, commitments, service.policy, receipts,
+                            EST_PARAMS, FULL)
+        (witness,) = verdict.witnesses
+        assert witness["check"] == "commitment_integrity"
+        assert witness["witness"].startswith("committed receipt key does not load: ")
+
+    def test_receipts_under_another_committed_key(self):
+        # the provider committed one key and signs with another: none of
+        # its receipts counts as evidence, which is why an account checks
+        # a receipt under c_receipt_key when it gets it
+        service = make_service()
+        receipts = serve_window(service)
+        other = ledger.generate_test_keypair(b"\x0b" * 32)[1].public_bytes_raw()
+        commitments = dataclasses.replace(service.commitments, c_receipt_key=other)
+        verdict = run_audit(service.ledger, commitments, service.policy, receipts,
+                            EST_PARAMS, FULL)
+        assert verdict.status == "PASS"
+        assert verdict.receipts_rejected == len(receipts)
+
+    def test_signature_checks_only_on_contradicting_receipts(self, monkeypatch):
+        calls = []
+        valid = ledger._signature_valid  # the one place the ledger verifies
+        monkeypatch.setattr(ledger, "_signature_valid",
+                            lambda *args: calls.append(1) or valid(*args))
+        service = make_service()
+        receipts, pk = serve_window(service), service.public_key
+        verdict = run_audit(service.ledger, service.commitments, service.policy,
+                            receipts, EST_PARAMS, FULL)
+        assert verdict.status == "PASS" and verdict.receipts_rejected == 0
+        assert calls == []
+        # three forked receipts the key never signed, then one it signed
+        fork = sha256(b"forked root")
+        unsigned = [(dataclasses.replace(r, ledger_root_at_issue=fork), pk)
+                    for r, _ in receipts[:3]]
+        signed = issue_receipt(service.ledger.record(5), 5, fork, service.signing_key)
+        verdict = run_audit(service.ledger, service.commitments, service.policy,
+                            [*receipts, *unsigned, (signed, pk)], EST_PARAMS, FULL)
+        assert verdict.receipts_rejected == 3
+        assert verdict.witnesses == [{
+            "check": "receipt_consistency",
+            "witness": "forgery_witness: root at issue inconsistent with ledger"}]
+        assert len(calls) == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), pos=st.integers(0, 14),
+           field=st.sampled_from([f.name for f in dataclasses.fields(ledger.Receipt)]),
+           wrong_type=st.booleans(), signer=st.sampled_from([None, "committed", "other"]))
+    def test_matches_reference_where_the_signature_holds(self, data, pos, field,
+                                                         wrong_type, signer):
+        service, honest = honest_window()
+        receipts = list(honest)
+        receipt, pk = receipts[pos]
+        value = data.draw(st.sampled_from(wrong_values(field)) if wrong_type
+                          else receipt_values(service, field))
+        receipt = dataclasses.replace(receipt, **{field: value})
+        if signer is not None and field != "signature":
+            key = (service.signing_key if signer == "committed"
+                   else ledger.generate_test_keypair(b"\x0a" * 32)[0])
+            try:
+                receipt = dataclasses.replace(receipt,
+                                              signature=key.sign(receipt.signed_payload()))
+            except (TypeError, ValueError, OverflowError):  # no canonical encoding
+                pass
+        try:
+            ref = ref_verify_receipt(receipt, pk, service.ledger)
+        except OverflowError:  # the reference raises on an int account beyond uint64
+            ref = ledger.ReceiptCheck("forgery_witness", "malformed receipt: overflow")
+        new = ledger.verify_receipt(receipt, pk, service.ledger)
+        if ref_unsigned(ref):
+            assert new.status in ("consistent", "rejected")
+        elif wrong_type:
+            # signed, but a field without its type is no evidence
+            assert new.status == "rejected"
+        else:
+            assert new == ref
+        receipts[pos] = (receipt, pk)
+        verdict = run_audit(service.ledger, service.commitments, service.policy, receipts,
+                            EST_PARAMS, FULL)
+        assert_named_verdict(verdict)
+        if new.status in ("consistent", "rejected"):
+            assert verdict.status == "PASS"
+            assert verdict.receipts_rejected == (new.status == "rejected")
+        else:
+            assert verdict.witnesses == [{"check": "receipt_consistency",
+                                          "witness": f"{new.status}: {new.detail}"}]
 
 
 class TestIndexRootMemo:
@@ -632,7 +822,8 @@ class TestDigestsPinned:
             '    "receipt_consistency": "non_inclusion_witness: position beyond ledger",\n'
             '    "record_claims": "ok"\n  },\n  "delta_policy": 1e-05,\n'
             '  "eps_audit_full": null,\n  "eps_audit_headline": null,\n'
-            '  "k_max": 10,\n  "sampled": null,\n  "status": "FAIL",\n'
+            '  "k_max": 10,\n  "receipts_rejected": 0,\n  "sampled": null,\n'
+            '  "status": "FAIL",\n'
             '  "witnesses": [\n    {\n      "check": "receipt_consistency",\n'
             '      "witness": "non_inclusion_witness: position beyond ledger"\n'
             '    }\n  ]\n}')

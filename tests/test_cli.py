@@ -290,7 +290,7 @@ class TestReproducibility:
 
     @pytest.mark.parametrize("experiment,name,digest", [
         ("audit_e2e", "verdict.json",
-         "f7f205c8cec4358a07865751e79b857afc51ab1defc480b5722d4309852d91e5"),
+         "3564c6e945397dffe187850b1cb238f9a0fd40eb5022ae95fb448694bb02717e"),
         ("scalar_sweep", "gates.json",
          "316286c2bc71cfcd34288b6a9d2658c65f636cd0f5e5296da415a252ebaf8cb7"),
     ])
@@ -298,6 +298,21 @@ class TestReproducibility:
         # at the shipped seed
         assert run_cli([experiment, "--out", str(tmp_path), "--profile", "smoke"]) == 0
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    def test_smoke_verdict_adds_only_the_rejected_count(self, tmp_path):
+        # the verdict.json pinned above, parsed: the verdict from before
+        # receipts were checked as evidence, plus its one new key
+        before = {
+            "checks": {"commitment_integrity": "ok", "ledger_extension": "ok",
+                       "policy_cap": "ok", "receipt_consistency": "ok",
+                       "record_claims": "ok"},
+            "delta_policy": 1e-05, "eps_audit_full": 6.607568650108798,
+            "eps_audit_headline": 3.1622776601683795, "k_max": 10, "sampled": None,
+            "status": "PASS", "witnesses": [],
+        }
+        assert run_cli(["audit_e2e", "--out", str(tmp_path), "--profile", "smoke"]) == 0
+        assert json.loads((tmp_path / "verdict.json").read_text()) == {
+            **before, "receipts_rejected": 0}
 
     def test_topk_smoke(self, tmp_path):
         assert run_cli(["topk_sweep", "--out", str(tmp_path),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 from pathlib import Path
@@ -313,13 +314,13 @@ class TestBinding:
         policy = PolicyParams.calibrated(1.0, 1e-6, 10, 10, 1e-3)
         idx_a = TenantIndex("alpha", random_unit_vectors(rng, 4, 8))
         idx_b = TenantIndex("beta", random_unit_vectors(rng, 4, 8))
-        seed = b"\x09" * 32
-        bundle = lg.commit_phase_a(policy, sha256(b"emb"), [idx_a, idx_b], seed)
+        seed, key = b"\x09" * 32, lg.generate_test_keypair()[1]
+        bundle = lg.commit_phase_a(policy, sha256(b"emb"), [idx_a, idx_b], seed, key)
         # flip one embedding of one tenant
         emb = idx_a.embeddings.copy()
         emb[2] = -emb[2]
         idx_a2 = TenantIndex("alpha", emb)
-        bundle2 = lg.commit_phase_a(policy, sha256(b"emb"), [idx_a2, idx_b], seed)
+        bundle2 = lg.commit_phase_a(policy, sha256(b"emb"), [idx_a2, idx_b], seed, key)
         assert bundle.c_idx["alpha"] != bundle2.c_idx["alpha"]
         assert bundle.c_idx["beta"] == bundle2.c_idx["beta"]
         assert bundle.c_seed == bundle2.c_seed
@@ -329,12 +330,22 @@ class TestBinding:
         policy = PolicyParams.calibrated(1.0, 1e-6, 10, 10, 1e-3)
         idx = TenantIndex("t", random_unit_vectors(rng, 2, 4))
         with pytest.raises(ValueError):
-            lg.commit_phase_a(policy, sha256(b"e"), [idx, idx], b"\x00" * 32)
+            lg.commit_phase_a(policy, sha256(b"e"), [idx, idx], b"\x00" * 32,
+                              lg.generate_test_keypair()[1])
 
     def test_empty_tenant_set(self):
         policy = PolicyParams.calibrated(1.0, 1e-6, 10, 10, 1e-3)
-        bundle = lg.commit_phase_a(policy, sha256(b"e"), [], b"\x00" * 32)
+        bundle = lg.commit_phase_a(policy, sha256(b"e"), [], b"\x00" * 32,
+                                   lg.generate_test_keypair()[1])
         assert bundle.c_idx == {}
+
+    def test_receipt_key_committed_raw(self):
+        policy = PolicyParams.calibrated(1.0, 1e-6, 10, 10, 1e-3)
+        _, pk = lg.generate_test_keypair(b"\x05" * 32)
+        bundle = lg.commit_phase_a(policy, sha256(b"e"), [], b"\x00" * 32, pk)
+        assert bundle.c_receipt_key == pk.public_bytes_raw()
+        with pytest.raises(ValueError, match="c_receipt_key must be 32 bytes"):
+            dataclasses.replace(bundle, c_receipt_key=bundle.c_receipt_key[:31])
 
 
 def ref_index_root(embeddings):
@@ -404,13 +415,23 @@ class TestReceipts:
         for rc in receipts:
             assert lg.verify_receipt(rc, self.pk, led).consistent
 
-    def test_bad_signature_is_forgery(self):
+    def test_bad_signature_on_consistent_receipt_is_consistent(self):
+        # the journal holds what the receipt says: no violation to show,
+        # so its signature is never read
         led, receipts = self._ledger_with_receipts()
-        rc = receipts[0]
-        forged = lg.Receipt(rc.account_id, rc.query_digest, rc.topk_digest,
-                            rc.leaf_position, rc.ledger_root_at_issue,
-                            bytes(64))
-        assert lg.verify_receipt(forged, self.pk, led).status == "forgery_witness"
+        unsigned = dataclasses.replace(receipts[0], signature=bytes(64))
+        assert lg.verify_receipt(unsigned, self.pk, led).consistent
+
+    def test_bad_signature_on_inconsistent_receipt_is_rejected(self):
+        # a receipt that would fail the provider, unsigned by its key, is
+        # set aside; the same receipt under the key's signature is a witness
+        led, receipts = self._ledger_with_receipts()
+        forked = dataclasses.replace(receipts[0], ledger_root_at_issue=sha256(b"fork"))
+        assert lg.verify_receipt(forked, self.pk, led) == lg.ReceiptCheck(
+            "rejected", "bad signature")
+        signed = dataclasses.replace(forked, signature=self.sk.sign(forked.signed_payload()))
+        assert lg.verify_receipt(signed, self.pk, led) == lg.ReceiptCheck(
+            "forgery_witness", "root at issue inconsistent with ledger")
 
     def test_rewritten_record_is_forgery_witness(self):
         led, receipts = self._ledger_with_receipts(5)
