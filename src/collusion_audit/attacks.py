@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import ndtr
 
-from . import accounting
+from . import accounting, defaults
 from .encoding import hash_fields
 
 __all__ = [
@@ -216,12 +216,12 @@ def _exact_topk_cell(rng, config, sigma: float, trials: int):
 def run_sweep(
     grid,
     config: CoalitionConfig,
-    policy_template: dict,
     trials: int,
     mode: str,
     master_seed: int = 0,
 ) -> SweepResult:
-    """T paired trials per (k, eps_acc) cell.
+    """T paired trials per (k, eps_acc) cell, with sigma calibrated and
+    the pooled-mean AUC predicted under ``defaults.POLICY_TEMPLATE``.
 
     ``sufficient_stat`` draws each trial's statistic from its exact law:
     the pooled mean from N(mu_b, sigma^2/(kn)) for pooled_mean / bayes_lr /
@@ -239,7 +239,7 @@ def run_sweep(
         raise ValueError("need at least 2 trials")
     if mode not in ("full_sim", "sufficient_stat"):
         raise ValueError(f"unknown mode {mode!r}")
-    delta_acc = policy_template.get("delta_acc", 1e-6)
+    delta_acc = defaults.DELTA_ACC
     result = SweepResult(
         grid=list(grid), auc={}, delong_se={}, trials=trials, mode=mode,
         adversary=config.adversary,
@@ -268,10 +268,7 @@ def run_sweep(
         result.delong_se[key] = delong_se(s_in, s_out)
         if config.adversary in ("pooled_mean", "bayes_lr"):
             policy = accounting.PolicyParams.calibrated(
-                eps_acc=eps, delta_acc=delta_acc, n_queries=cfg.n_per_account,
-                k_max=policy_template.get("k_max", 100),
-                delta_policy=policy_template.get("delta_policy", 1e-3),
-            )
+                eps_acc=eps, n_queries=cfg.n_per_account, **defaults.POLICY_TEMPLATE)
             result.predicted[key] = accounting.auc_prediction(policy, k)
         result.stats[key] = (s_in, s_out)
     return result
@@ -370,8 +367,7 @@ def check_gates(sweep: SweepResult) -> GateReport:
     )
 
 
-def external_vs_same(grid, policy_template: dict, T: int, master_seed: int,
-                     config: CoalitionConfig) -> list:
+def external_vs_same(grid, T: int, master_seed: int, config: CoalitionConfig) -> list:
     """Run the ``full_sim`` sweep once per regime at k = 1. The regime
     enters only ``cell_seed``, so the two arms are two draws from one law
     and any AUC gap is sampling noise: a null check of the sweep, not a
@@ -382,8 +378,7 @@ def external_vs_same(grid, policy_template: dict, T: int, master_seed: int,
     """
     rows = []
     for regime in ("same_tenant", "external_m4"):
-        res = run_sweep(grid, replace(config, k=1, regime=regime), policy_template, T,
-                        "full_sim", master_seed)
+        res = run_sweep(grid, replace(config, k=1, regime=regime), T, "full_sim", master_seed)
         if regime == "same_tenant":
             same = res
         else:

@@ -195,6 +195,8 @@ def _window_claims(window: WindowWitness, commitments: CommitmentBundle,
     if (not isinstance(window.window_seed, bytes)
             or sha256(window.window_seed) != commitments.c_seed):
         noise = "witness seed inconsistent with c_seed"
+    elif len(window.window_seed) != 32:  # c_seed commits to any bytes
+        noise = "witness seed is not 32 bytes"
     elif (not isinstance(window.sigma, (int, float))
           or not math.isclose(window.sigma, policy.sigma, rel_tol=1e-12)):
         noise = "witness sigma differs from committed policy"
@@ -294,9 +296,10 @@ def run_audit(ledger: MerkleLedger, commitments: CommitmentBundle, policy,
     ``receipts`` is a list of (Receipt, public key) pairs submitted by
     accounts. The key must be the committed receipt key
     (``commitments.c_receipt_key``), and the receipt is checked under
-    that key (``verify_receipt``); a receipt submitted with another key,
-    malformed, or contradicting the journal without the committed key's
-    valid signature is set aside and counted in ``receipts_rejected``.
+    that key (``verify_receipt``); an entry that is no pair, a receipt
+    submitted with another key, malformed, or contradicting the journal
+    without the committed key's valid signature is set aside (counted in
+    ``receipts_rejected``).
     ``published_root`` is the root the provider advertises (defaults to
     the recomputed ledger root).
     """
@@ -341,7 +344,12 @@ def run_audit(ledger: MerkleLedger, commitments: CommitmentBundle, policy,
         return _fail(verdict, "ledger_extension",
                      "published root is not the audited ledger's root")
     verdict.checks["ledger_extension"] = "ok"
-    for receipt, key in receipts:
+    for entry in receipts:
+        try:
+            receipt, key = entry
+        except (TypeError, ValueError):  # not a (receipt, key) pair
+            verdict.receipts_rejected += 1
+            continue
         if not (isinstance(key, Ed25519PublicKey) and key == receipt_key):
             verdict.receipts_rejected += 1
             continue

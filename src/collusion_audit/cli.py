@@ -156,8 +156,7 @@ def _run_scalar_sweep(config: dict, out_dir: str) -> tuple[list, int]:
     trials = config.get("trials", 100 if config["profile"] == "smoke" else defaults.SCALAR_TRIALS)
     n = config.get("n_per_account", defaults.SCALAR_N)
     cfg = CoalitionConfig(k=1, n_per_account=n, adversary="pooled_mean")
-    res = attacks.run_sweep(SCALAR_GRID, cfg, defaults.POLICY_TEMPLATE, trials,
-                            "sufficient_stat", config["seed"])
+    res = attacks.run_sweep(SCALAR_GRID, cfg, trials, "sufficient_stat", config["seed"])
     path = os.path.join(out_dir, "scalar_sweep.csv")
     _write_csv(path, _SWEEP_HEADER, _sweep_rows(res))
     gates = attacks.check_gates(res)
@@ -172,8 +171,7 @@ def _run_topk_sweep(config: dict, out_dir: str) -> tuple[list, int]:
     n = config.get("n_per_account", defaults.TOPK_N)
     cfg = CoalitionConfig(k=1, n_per_account=n, adversary="topk_hit")
     grid = TOPK_GRID if config["profile"] == "paper" else [(1, 16.0), (20, 16.0)]
-    res = attacks.run_sweep(grid, cfg, defaults.POLICY_TEMPLATE, trials,
-                            "sufficient_stat", config["seed"])
+    res = attacks.run_sweep(grid, cfg, trials, "sufficient_stat", config["seed"])
     path = os.path.join(out_dir, "topk_sweep.csv")
     _write_csv(path, _SWEEP_HEADER, _sweep_rows(res))
     return [path], 0
@@ -203,8 +201,7 @@ def _run_external_vs_same(config: dict, out_dir: str) -> tuple[list, int]:
     n = config.get("n_per_account", defaults.TOPK_N)
     grid = TOPK_GRID if config["profile"] == "paper" else [(1, 16.0), (20, 16.0)]
     cfg = CoalitionConfig(k=1, n_per_account=n, adversary="topk_hit")
-    rows = attacks.external_vs_same(grid, defaults.POLICY_TEMPLATE, trials,
-                                    config["seed"], cfg)
+    rows = attacks.external_vs_same(grid, trials, config["seed"], cfg)
     path = os.path.join(out_dir, "external_vs_same.csv")
     _write_csv(path, ["k", "eps_acc", "auc_same", "se_same", "auc_external",
                       "se_external", "delta_auc", "combined_se"], list(map(list, rows)))
@@ -218,14 +215,12 @@ def _run_alt_adversaries(config: dict, out_dir: str) -> tuple[list, int]:
     # monotone-transform equality is exact)
     for adversary in ("pooled_mean", "bayes_lr"):
         cfg = CoalitionConfig(k=1, n_per_account=defaults.SCALAR_N, adversary=adversary)
-        res = attacks.run_sweep(SCALAR_GRID, cfg, defaults.POLICY_TEMPLATE,
-                                trials, "sufficient_stat", config["seed"])
+        res = attacks.run_sweep(SCALAR_GRID, cfg, trials, "sufficient_stat", config["seed"])
         rows.extend(_sweep_rows(res))
     for rho in config.get("rho_values", [0.5, 0.25]):
         cfg = CoalitionConfig(k=1, n_per_account=defaults.SCALAR_N,
                               adversary="diversified", rho=rho)
-        res = attacks.run_sweep([(20, 4.0)], cfg, defaults.POLICY_TEMPLATE,
-                                trials, "sufficient_stat", config["seed"])
+        res = attacks.run_sweep([(20, 4.0)], cfg, trials, "sufficient_stat", config["seed"])
         for row in _sweep_rows(res):
             row[3] = f"diversified(rho={rho})"
             rows.append(row)

@@ -1,14 +1,14 @@
 """Phase A commitments and the append-only query ledger.
 
-Merkle tree in the transparency-log style (RFC 6962 / RFC 9162 section
-2.1): leaves are domain-separated with 0x00 and interior nodes with 0x01,
-the root of an n-leaf tree splits at the largest power of two strictly
-less than n, and both inclusion (audit path) and consistency (append-only
-extension) proofs are supported. Receipts are Ed25519-signed over the
-canonical serialization of their fields, under the receipt key that the
-Phase A commitments hold. A receipt is an account's evidence against the
-provider: only one that contradicts the journal and carries the committed
-key's valid signature shows a violation.
+Merkle tree in the transparency-log style (RFC 9162 section 2.1, the
+successor to RFC 6962): leaves are domain-separated with 0x00, interior
+nodes with 0x01, and an n-leaf root splits at the largest power of two
+below n. Inclusion and consistency (append-only extension) proofs are
+RFC 9162's, checked from the leaf position and tree sizes alone. Receipts
+are Ed25519-signed over the canonical serialization of their fields,
+under the receipt key that the Phase A commitments hold. A receipt is an
+account's evidence against the provider: only one that contradicts the
+journal and carries the committed key's valid signature shows a violation.
 
 ``MerkleLedger`` stores the hash of every complete, aligned power-of-two
 subtree. On an n-leaf ledger the operations cost, in SHA-256 calls:
@@ -18,8 +18,9 @@ subtree. On an n-leaf ledger the operations cost, in SHA-256 calls:
                      the new root: at most floor(log2 n) + 2 in all
   prove_inclusion,   one node per level, each read from the store except at
   prove_extension    most one on the right edge, which is folded from stored
-                     subtrees: O(log n); the sizes of the two roots of an
-                     extension are a dict lookup
+                     subtrees: O(log n)
+  verify_inclusion,  one per proof hash, two for a left sibling of an
+  verify_extension   extension: O(log n)
   verify_receipt     none: O(1) journal lookups (the record and the root at
                      issue), plus one Ed25519 check only for a receipt that
                      contradicts the journal
@@ -107,7 +108,8 @@ def merkle_root(leaves: list) -> bytes:
 @dataclass(frozen=True)
 class MerkleProof:
     leaf_position: int
-    path: tuple  # ((sibling_hash, side), ...)
+    tree_size: int
+    hashes: tuple  # sibling hashes, leaf to root
 
 
 @dataclass(frozen=True)
@@ -162,6 +164,10 @@ class CommitmentBundle:
         for name in ("c_emb", "c_seed", "c_policy", "c_receipt_key"):
             if len(getattr(self, name)) != 32:
                 raise ValueError(f"{name} must be 32 bytes")
+        if not isinstance(self.c_idx, dict):
+            raise ValueError("c_idx must be a dict of tenant roots")
+        if type(self.published_at) is not int or self.published_at < 0:
+            raise ValueError("published_at must be a nonnegative int")
 
 
 def policy_commitment(policy) -> bytes:
@@ -220,15 +226,13 @@ class MerkleLedger:
     leaves [i * 2**h, (i + 1) * 2**h), level 0 holding the leaves; a
     subtree is stored once its last leaf is appended and never changes,
     so every prefix snapshot reads the same stored hashes. The root
-    journal lists the root at every size, and ``_sizes`` maps each root
-    back to the first size that had it. Costs are in the module docstring.
+    journal lists the root at every size; costs are in the module docstring.
     """
 
     def __init__(self):
         self._records: list[QueryRecord] = []
         self._levels: list[list[bytes]] = [[]]
         self._roots: list[bytes] = [merkle_root([])]  # root journal, index = size
-        self._sizes: dict[bytes, int] = {self._roots[0]: 0}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -268,7 +272,6 @@ class MerkleLedger:
             levels[h].append(node)
         n = len(self._records)
         root = self._subtree(0, n)
-        self._sizes.setdefault(root, n)
         self._roots.append(root)
         return root, n - 1
 
@@ -291,105 +294,102 @@ class MerkleLedger:
 
 
 def prove_inclusion(ledger: MerkleLedger, position: int, size: int | None = None) -> MerkleProof:
-    """Audit path of a leaf in the size-leaf prefix: siblings from the leaf
-    to the root as (hash, side) with side 'L'/'R' telling the verifier
-    where the sibling sits."""
+    """Audit path of a leaf in the size-leaf prefix: the sibling hashes
+    from the leaf up to the root (RFC 9162 section 2.1.3.1)."""
     n = len(ledger) if size is None else size
     if not 0 <= position < n <= len(ledger):
         raise IndexError("position out of range")
-    path = []
+    hashes = []
     lo, hi = 0, n
     while hi - lo > 1:
         mid = lo + _split(hi - lo)
         if position < mid:
-            path.append((ledger._subtree(mid, hi), "R"))
-            hi = mid
-        else:
-            path.append((ledger._subtree(lo, mid), "L"))
-            lo = mid
-    return MerkleProof(position, tuple(reversed(path)))
-
-
-def verify_inclusion(root: bytes, leaf_digest: bytes, proof: MerkleProof) -> bool:
-    """True iff hashing leaf_digest up the path reconstructs root."""
-    h = leaf_digest
-    for sibling, side in proof.path:
-        h = _node_hash(sibling, h) if side == "L" else _node_hash(h, sibling)
-    return h == root
-
-
-def _consistency(ledger: MerkleLedger, m: int, n: int) -> list:
-    """Transparency-log consistency proof between the m-leaf and the n-leaf
-    prefix, 0 < m < n: descend from the n-leaf root towards leaf m,
-    collecting the sibling left behind at each split, inner hashes first."""
-    hashes = []
-    lo, hi, start = 0, n, True
-    while m != hi:
-        mid = lo + _split(hi - lo)
-        if m <= mid:
             hashes.append(ledger._subtree(mid, hi))
             hi = mid
         else:
             hashes.append(ledger._subtree(lo, mid))
-            lo, start = mid, False
-    if not start:  # the m-prefix is not a subtree of the n-tree's left edge
-        hashes.append(ledger._subtree(lo, hi))
-    hashes.reverse()
-    return hashes
+            lo = mid
+    return MerkleProof(position, n, tuple(reversed(hashes)))
 
 
-def prove_extension(old_root: bytes, new_root: bytes, ledger: MerkleLedger) -> ConsistencyProof:
-    """Consistency proof that old_root is a prefix snapshot of new_root."""
-    old_size = ledger._sizes.get(old_root)
-    new_size = ledger._sizes.get(new_root)
-    if old_size is None or new_size is None or old_size > new_size:
-        raise ValueError("roots do not correspond to prefix snapshots")
-    if old_size == 0 or old_size == new_size:
-        hashes = ()
-    else:
-        hashes = tuple(_consistency(ledger, old_size, new_size))
+def prove_extension(ledger: MerkleLedger, old_size: int, new_size: int) -> ConsistencyProof:
+    """Consistency proof that the old_size-leaf prefix is a prefix of the
+    new_size-leaf one (RFC 9162 section 2.1.4.1), empty if old_size is 0
+    or new_size: the audit path in the new tree of the node over leaves
+    [old_size - 2**t, old_size), 2**t the largest power of two dividing
+    old_size, led by that node unless it is the whole old tree."""
+    if not 0 <= old_size <= new_size <= len(ledger):
+        raise IndexError("sizes out of range")
+    if old_size in (0, new_size):
+        return ConsistencyProof(old_size, new_size, ())
+    t = (old_size & -old_size).bit_length() - 1
+    # the node's own audit path is its last leaf's, less the t levels inside it
+    hashes = prove_inclusion(ledger, old_size - 1, new_size).hashes[t:]
+    if old_size != 1 << t:
+        hashes = (ledger._subtree(old_size - (1 << t), old_size), *hashes)
     return ConsistencyProof(old_size, new_size, hashes)
 
 
-def _root_from_consistency(size: int, total: int, hashes: list,
-                           old_root: bytes, start: bool = True):
-    """Recompute (old_root, new_root) from a consistency proof.
+def _well_formed(hashes, *sizes) -> bool:
+    """Sizes that are uint64 ints, as RFC 9162's are, and a tuple of 32-byte hashes."""
+    return (all(type(s) is int and 0 <= s < 2**64 for s in sizes) and isinstance(hashes, tuple)
+            and all(isinstance(h, bytes) and len(h) == 32 for h in hashes))
 
-    Mirrors the recursive proof generator: the proof list carries inner
-    hashes first, so each level pops its own sibling off the end before
-    recursing. When the prefix aligns with a subtree boundary (start base
-    case) the proof omits the prefix root and the claimed old_root is
-    folded into the new-root computation directly.
-    """
-    if size == total:
-        if start:
-            return old_root, old_root
-        h = hashes.pop()
-        return h, h
-    k = _split(total)
-    if size <= k:
-        right = hashes.pop()
-        inner = _root_from_consistency(size, k, hashes, old_root, start)
-        return inner[0], _node_hash(inner[1], right)
-    left = hashes.pop()
-    inner = _root_from_consistency(size - k, total - k, hashes, old_root, False)
-    return _node_hash(left, inner[0]), _node_hash(left, inner[1])
+
+def _sides(fn: int, sn: int) -> list:
+    """Whether each sibling from node fn up to the root is a left one, sn
+    being the last node of fn's level (RFC 9162 sections 2.1.3.2, 2.1.4.2):
+    a last node that is a left child moves up until it is a right child."""
+    sides = []
+    while sn:
+        left = bool(fn & 1) or fn == sn
+        sides.append(left)
+        shift = (fn & -fn).bit_length() if left else 1
+        fn >>= shift
+        sn >>= shift
+    return sides
+
+
+def verify_inclusion(root: bytes, leaf_digest: bytes, proof: MerkleProof) -> bool:
+    """True iff leaf_digest is the leaf at proof.leaf_position of the
+    proof.tree_size-leaf tree with this root (RFC 9162 section 2.1.3.2):
+    the position and the size decide the side of each sibling. False,
+    never an exception, for a malformed proof."""
+    if not (isinstance(proof, MerkleProof)
+            and _well_formed(proof.hashes, proof.leaf_position, proof.tree_size)
+            and proof.leaf_position < proof.tree_size):
+        return False
+    sides = _sides(proof.leaf_position, proof.tree_size - 1)
+    node = leaf_digest
+    for sibling, left in zip(proof.hashes, sides):
+        node = _node_hash(sibling, node) if left else _node_hash(node, sibling)
+    return len(sides) == len(proof.hashes) and node == root
 
 
 def verify_extension(old_root: bytes, new_root: bytes, proof: ConsistencyProof) -> bool:
-    """Verifier-side check that new_root extends old_root append-only."""
-    if proof.old_size == proof.new_size:
-        return old_root == new_root and not proof.hashes
-    if proof.old_size == 0:
-        return old_root == merkle_root([]) and not proof.hashes
-    if not 0 < proof.old_size < proof.new_size:
+    """True iff new_root, over proof.new_size leaves, extends old_root,
+    over the first proof.old_size of them (RFC 9162 section 2.1.4.2).
+    False, never an exception, for a malformed proof."""
+    if not (isinstance(proof, ConsistencyProof)
+            and _well_formed(proof.hashes, proof.old_size, proof.new_size)):
         return False
-    hashes = list(proof.hashes)
-    try:
-        got = _root_from_consistency(proof.old_size, proof.new_size, hashes, old_root)
-    except IndexError:
+    m, n, hashes = proof.old_size, proof.new_size, proof.hashes
+    if m >= n:
+        return m == n and not hashes and old_root == new_root
+    if m == 0:
+        return not hashes and old_root == merkle_root([])
+    t = (m & -m).bit_length() - 1  # the path's first node, as prove_extension says
+    if m == 1 << t:
+        hashes = (old_root, *hashes)
+    sides = _sides((m - 1) >> t, (n - 1) >> t)
+    if len(sides) != len(hashes) - 1:
         return False
-    return not hashes and got == (old_root, new_root)
+    old = new = hashes[0]
+    for sibling, left in zip(hashes[1:], sides):
+        if left:
+            old = _node_hash(sibling, old)
+        new = _node_hash(sibling, new) if left else _node_hash(new, sibling)
+    return old == old_root and new == new_root
 
 
 # --- receipts -------------------------------------------------------------

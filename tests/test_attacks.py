@@ -154,17 +154,16 @@ class TestRunSweep:
         grid = [(k, 4.0) for k in (1, 2, 5, 10, 20)]
         kw = dict(n_per_account=1000)
         pooled = attacks.run_sweep(grid, CoalitionConfig(k=1, adversary="pooled_mean", **kw),
-                                   defaults.POLICY_TEMPLATE, 500, "sufficient_stat", 5)
+                                   500, "sufficient_stat", 5)
         bayes = attacks.run_sweep(grid, CoalitionConfig(k=1, adversary="bayes_lr", **kw),
-                                  defaults.POLICY_TEMPLATE, 500, "sufficient_stat", 5)
+                                  500, "sufficient_stat", 5)
         for key in pooled.auc:
             assert abs(pooled.auc[key] - bayes.auc[key]) <= 1e-4
 
     def test_full_sim_topk_statistics_pinned(self):
         # per-trial hit counts of a small full_sim sweep, as first recorded
         cfg = CoalitionConfig(k=1, n_per_account=20, adversary="topk_hit")
-        res = attacks.run_sweep([(1, 16.0), (5, 4.0)], cfg, defaults.POLICY_TEMPLATE,
-                                20, "full_sim", 3)
+        res = attacks.run_sweep([(1, 16.0), (5, 4.0)], cfg, 20, "full_sim", 3)
         h = hashlib.sha256()
         for key in sorted(res.stats):
             for stats in res.stats[key]:
@@ -175,13 +174,13 @@ class TestRunSweep:
     def test_too_few_trials(self):
         with pytest.raises(ValueError):
             attacks.run_sweep([(1, 4.0)], CoalitionConfig(k=1, n_per_account=10),
-                              defaults.POLICY_TEMPLATE, 1, "sufficient_stat", 0)
+                              1, "sufficient_stat", 0)
 
     def test_mode_equivalence_small_cell(self):
         cfg = CoalitionConfig(k=5, n_per_account=100)
-        full = attacks.run_sweep([(5, 4.0)], cfg, defaults.POLICY_TEMPLATE, 2000,
+        full = attacks.run_sweep([(5, 4.0)], cfg, 2000,
                                  "full_sim", defaults.EXPERIMENT_SEEDS["mode_equivalence"])
-        suff = attacks.run_sweep([(5, 4.0)], cfg, defaults.POLICY_TEMPLATE, 2000,
+        suff = attacks.run_sweep([(5, 4.0)], cfg, 2000,
                                  "sufficient_stat",
                                  defaults.EXPERIMENT_SEEDS["mode_equivalence"] + 1)
         key = (5, 4.0)
@@ -193,10 +192,8 @@ class TestRunSweep:
 
     def test_cells_independently_reproducible(self):
         cfg = CoalitionConfig(k=1, n_per_account=100)
-        a = attacks.run_sweep([(2, 1.0)], cfg, defaults.POLICY_TEMPLATE, 100,
-                              "sufficient_stat", 3)
-        b = attacks.run_sweep([(2, 1.0), (5, 1.0)], cfg, defaults.POLICY_TEMPLATE, 100,
-                              "sufficient_stat", 3)
+        a = attacks.run_sweep([(2, 1.0)], cfg, 100, "sufficient_stat", 3)
+        b = attacks.run_sweep([(2, 1.0), (5, 1.0)], cfg, 100, "sufficient_stat", 3)
         assert a.auc[(2, 1.0)] == b.auc[(2, 1.0)]
 
 
@@ -211,10 +208,10 @@ def test_pooled_sweep_equals_one_cell_sweeps(adversary, mode, monkeypatch):
     cfg = CoalitionConfig(k=1, n_per_account=8, adversary=adversary,
                           rho=0.5 if adversary == "diversified" else None)
     monkeypatch.setattr(attacks.os, "cpu_count", lambda: 8)
-    pooled = attacks.run_sweep(POOL_GRID, cfg, defaults.POLICY_TEMPLATE, 30, mode, 4)
+    pooled = attacks.run_sweep(POOL_GRID, cfg, 30, mode, 4)
     assert list(pooled.auc) == POOL_GRID
     for cell in POOL_GRID:
-        one = attacks.run_sweep([cell], cfg, defaults.POLICY_TEMPLATE, 30, mode, 4)
+        one = attacks.run_sweep([cell], cfg, 30, mode, 4)
         for a, b in zip(pooled.stats[cell], one.stats[cell]):
             assert np.array_equal(a, b)
         assert pooled.auc[cell] == one.auc[cell]
@@ -224,7 +221,7 @@ def test_pooled_sweep_equals_one_cell_sweeps(adversary, mode, monkeypatch):
 
 def test_empty_grid_gives_empty_sweep():
     res = attacks.run_sweep([], CoalitionConfig(k=1, n_per_account=10),
-                            defaults.POLICY_TEMPLATE, 10, "sufficient_stat", 0)
+                            10, "sufficient_stat", 0)
     assert res.grid == [] and res.auc == {} and res.stats == {}
 
 
@@ -267,8 +264,7 @@ class TestExactTopk:
 
     def test_counts_are_integers_in_range(self):
         cfg = CoalitionConfig(k=2, n_per_account=30, adversary="topk_hit")
-        res = attacks.run_sweep([(2, 16.0), (5, 4.0)], cfg, defaults.POLICY_TEMPLATE, 300,
-                                "sufficient_stat", 0)
+        res = attacks.run_sweep([(2, 16.0), (5, 4.0)], cfg, 300, "sufficient_stat", 0)
         for (k, _), stats in res.stats.items():
             for s in stats:
                 assert np.all(s == np.round(s))
@@ -280,7 +276,7 @@ class TestExactTopk:
         cfg = CoalitionConfig(k=1, n_per_account=50, adversary="topk_hit")
 
         def sweep():
-            return attacks.run_sweep([(5, 8.0)], cfg, defaults.POLICY_TEMPLATE, 40,
+            return attacks.run_sweep([(5, 8.0)], cfg, 40,
                                      "sufficient_stat", 2).stats[(5, 8.0)]
 
         reference = sweep()
@@ -333,8 +329,7 @@ class TestGates:
 
     def test_real_sweep_gates(self):
         cfg = CoalitionConfig(k=1, n_per_account=defaults.SCALAR_N)
-        res = attacks.run_sweep(attacks.SCALAR_GRID, cfg, defaults.POLICY_TEMPLATE,
-                                2000, "sufficient_stat",
+        res = attacks.run_sweep(attacks.SCALAR_GRID, cfg, 2000, "sufficient_stat",
                                 defaults.EXPERIMENT_SEEDS["scalar_sweep"])
         rep = attacks.check_gates(res)
         assert rep.p1_pass
@@ -344,8 +339,7 @@ class TestGates:
 class TestExternalVsSame:
     def test_k1_arms_agree(self):
         cfg = CoalitionConfig(k=1, n_per_account=100, adversary="topk_hit")
-        rows = attacks.external_vs_same([(1, 16.0)], defaults.POLICY_TEMPLATE, 400,
-                                        1, cfg)
+        rows = attacks.external_vs_same([(1, 16.0)], 400, 1, cfg)
         (k, e, a_s, se_s, a_e, se_e, d, comb) = rows[0]
         assert k == 1
         assert abs(d) <= 3 * comb

@@ -318,6 +318,15 @@ class TestAdversarialProvider:
         assert verdict.status == "FAIL"
         assert verdict.witnesses[0]["check"] == "commitment_integrity"
 
+    def test_commitments_published_after_window_opened(self):
+        service = make_service()
+        receipts = serve_window(service)
+        late = dataclasses.replace(service.commitments,
+                                   published_at=service.ledger.record(0).timestamp)
+        verdict = run_audit(service.ledger, late, service.policy, receipts, EST_PARAMS, FULL)
+        assert verdict.witnesses == [{"check": "commitment_integrity",
+                                      "witness": "commitments published after window opened"}]
+
     def test_noise_derivation_is_committed(self):
         # a c_policy that does not name the noise derivation (the form
         # before noise-v2), or names it but not top_k (the form before
@@ -474,6 +483,19 @@ class TestMalformedWitness:
         }]
         assert verdict.eps_audit_headline is None
 
+    def test_committed_seed_not_32_bytes(self):
+        # c_seed commits to a 31-byte seed, which every record's window holds
+        service = make_service()
+        receipts = serve_window(service)
+        seed = b"\x07" * 31
+        commitments = dataclasses.replace(service.commitments, c_seed=sha256(seed))
+        window = dataclasses.replace(service.witness, window_seed=seed)
+        broken = rewrite_witnesses(service.ledger, lambda pos, blob: dataclasses.replace(
+            blob, window=window))
+        verdict = run_audit(broken, commitments, service.policy, receipts, EST_PARAMS, FULL)
+        assert verdict.witnesses == [{"check": "noise_derivation",
+                                      "witness": "record 0: witness seed is not 32 bytes"}]
+
     def test_k_beyond_the_opened_index(self):
         # a policy committed to more documents than the index holds
         service = make_service(docs=12)
@@ -494,8 +516,13 @@ class TestMalformedWitness:
         lambda receipt, pk: (None, pk),
         lambda receipt, pk: (receipt, None),
         lambda receipt, pk: (receipt, pk.public_bytes_raw()),
+        lambda receipt, pk: receipt,
+        lambda receipt, pk: (receipt,),
+        lambda receipt, pk: (receipt, pk, pk),
+        lambda receipt, pk: None,
     ], ids=["negative", "beyond-uint64", "bool", "str-signature", "none-account",
-            "none-receipt", "none-key", "bytes-key"])
+            "none-receipt", "none-key", "bytes-key", "bare-receipt", "1-tuple", "3-tuple",
+            "none-entry"])
     def test_malformed_receipt(self, submit):
         # evidence that does not hold, or a key that is not the committed
         # one, is set aside and counted, not charged to the provider

@@ -56,8 +56,8 @@ def ref_audit_path(leaves, m):
         return []
     k = _ref_split(len(leaves))
     if m < k:
-        return ref_audit_path(leaves[:k], m) + [(ref_root(leaves[k:]), "R")]
-    return ref_audit_path(leaves[k:], m - k) + [(ref_root(leaves[:k]), "L")]
+        return ref_audit_path(leaves[:k], m) + [ref_root(leaves[k:])]
+    return ref_audit_path(leaves[k:], m - k) + [ref_root(leaves[:k])]
 
 
 def ref_consistency(leaves, m, start=True):
@@ -72,11 +72,12 @@ def ref_consistency(leaves, m, start=True):
 
 def assert_inclusion_matches(led, leaves, pos, size):
     proof = lg.prove_inclusion(led, pos, size)
-    assert proof.path == tuple(ref_audit_path(leaves[:size], pos)), (pos, size)
+    assert proof == lg.MerkleProof(pos, size, tuple(ref_audit_path(leaves[:size], pos))), (
+        pos, size)
 
 
 def assert_extension_matches(led, leaves, i, j):
-    proof = lg.prove_extension(led.root_at(i), led.root_at(j), led)
+    proof = lg.prove_extension(led, i, j)
     expected = () if i in (0, j) else tuple(ref_consistency(leaves[:j], i))
     assert (proof.old_size, proof.new_size, proof.hashes) == (i, j, expected), (i, j)
 
@@ -85,7 +86,7 @@ class TestMerkleTree:
     def test_single_leaf_root(self):
         led = build(1)
         proof = lg.prove_inclusion(led, 0)
-        assert proof.path == ()
+        assert proof.hashes == ()
         assert led.root == led.leaf(0)
 
     def test_empty_root_is_marker(self):
@@ -103,16 +104,16 @@ class TestMerkleTree:
             for pos in range(n):
                 proof = lg.prove_inclusion(led, pos)
                 assert lg.verify_inclusion(led.root, led.leaf(pos), proof)
-                assert len(proof.path) <= int(np.ceil(np.log2(max(n, 2))))
+                assert len(proof.hashes) <= int(np.ceil(np.log2(max(n, 2))))
 
     def test_tampered_sibling_fails(self):
         led = build(9)
         proof = lg.prove_inclusion(led, 4)
-        bad_path = list(proof.path)
-        h, side = bad_path[1]
-        bad_path[1] = (bytes([h[0] ^ 1]) + h[1:], side)
+        bad_path = list(proof.hashes)
+        h = bad_path[1]
+        bad_path[1] = bytes([h[0] ^ 1]) + h[1:]
         assert not lg.verify_inclusion(led.root, led.leaf(4),
-                                       lg.MerkleProof(4, tuple(bad_path)))
+                                       lg.MerkleProof(4, 9, tuple(bad_path)))
 
     def test_inclusion_fuzz_corruption(self):
         rng = np.random.default_rng(0)
@@ -120,16 +121,16 @@ class TestMerkleTree:
         for _ in range(200):
             pos = int(rng.integers(0, 57))
             proof = lg.prove_inclusion(led, pos)
-            if not proof.path:
+            if not proof.hashes:
                 continue
-            i = int(rng.integers(0, len(proof.path)))
+            i = int(rng.integers(0, len(proof.hashes)))
             byte = int(rng.integers(0, 32))
-            h, side = proof.path[i]
-            mutated = list(proof.path)
+            h = proof.hashes[i]
+            mutated = list(proof.hashes)
             mutated[i] = (h[:byte] + bytes([h[byte] ^ (1 << int(rng.integers(0, 8)))])
-                          + h[byte + 1:], side)
+                          + h[byte + 1:])
             assert not lg.verify_inclusion(led.root, led.leaf(pos),
-                                           lg.MerkleProof(pos, tuple(mutated)))
+                                           lg.MerkleProof(pos, 57, tuple(mutated)))
 
     def test_out_of_range_position(self):
         led = build(4)
@@ -142,20 +143,20 @@ class TestMerkleTree:
 class TestExtension:
     def test_identity_extension(self):
         led = build(10)
-        proof = lg.prove_extension(led.root, led.root, led)
+        proof = lg.prove_extension(led, 10, 10)
         assert lg.verify_extension(led.root, led.root, proof)
 
     def test_from_empty_exhaustive(self):
         for n in range(1, 65):
             led = build(n)
-            proof = lg.prove_extension(led.root_at(0), led.root, led)
+            proof = lg.prove_extension(led, 0, n)
             assert lg.verify_extension(led.root_at(0), led.root, proof)
 
     def test_all_prefix_pairs_small(self):
         led = build(33)
         for i in range(34):
             for j in range(i, 34):
-                proof = lg.prove_extension(led.root_at(i), led.root_at(j), led)
+                proof = lg.prove_extension(led, i, j)
                 assert lg.verify_extension(led.root_at(i), led.root_at(j), proof)
 
     def test_deleted_middle_leaf_invalid(self):
@@ -167,16 +168,17 @@ class TestExtension:
             if i != 3:
                 forged.append(rec(i))
         assert forged.root != led.root
-        with pytest.raises(ValueError):
-            lg.prove_extension(old_root, forged.root, forged)
+        with pytest.raises(IndexError):  # the forged ledger holds 11 records
+            lg.prove_extension(forged, 8, 12)
         # a proof from the forged ledger cannot verify against the old root
-        proof = lg.prove_extension(forged.root_at(8), forged.root, forged)
+        proof = lg.prove_extension(forged, 8, 11)
         assert not lg.verify_extension(old_root, forged.root, proof)
 
-    def test_non_prefix_roots_rejected(self):
+    def test_out_of_range_sizes_rejected(self):
         led = build(6)
-        with pytest.raises(ValueError):
-            lg.prove_extension(sha256(b"nonsense"), led.root, led)
+        for old_size, new_size in ((-1, 3), (4, 3), (0, 7), (7, 7)):
+            with pytest.raises(IndexError):
+                lg.prove_extension(led, old_size, new_size)
 
     def test_timestamp_regression_rejected(self):
         led = build(3)
@@ -235,6 +237,46 @@ def test_proofs_match_reference(n, data):
     assert_inclusion_matches(led, leaves, pos, j)
 
 
+# What a proof may not hold: a size that is not a uint64 int, a hash that
+# is not 32 bytes.
+BAD_SIZES = [-1, True, False, 2**64, 1.0, "1", None]
+BAD_HASHES = [b"", b"\x00" * 31, b"\x00" * 33, bytearray(32), "0" * 32, None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=64), st.data())
+def test_verifiers_bind_position_and_refuse_malformed_proofs(n, data):
+    # RFC 9162 checks: the position and the sizes decide the side of each
+    # sibling, and a malformed proof is False, never an exception
+    led = build(n)
+    j = data.draw(st.integers(min_value=1, max_value=n))
+    i = data.draw(st.integers(min_value=0, max_value=j))
+    pos = data.draw(st.integers(min_value=0, max_value=j - 1))
+    root, old_root, leaf = led.root_at(j), led.root_at(i), led.leaf(pos)
+    inclusion, extension = lg.prove_inclusion(led, pos, j), lg.prove_extension(led, i, j)
+    assert lg.verify_inclusion(root, leaf, inclusion)
+    assert lg.verify_extension(old_root, root, extension)
+    other = data.draw(st.integers(min_value=0, max_value=j - 1))
+    if led.leaf(other) != leaf:
+        relabelled = dataclasses.replace(inclusion, leaf_position=other)
+        assert lg.verify_inclusion(root, leaf, relabelled) is False
+    size = data.draw(st.sampled_from(BAD_SIZES))
+    for field in ("leaf_position", "tree_size"):
+        bad = dataclasses.replace(inclusion, **{field: size})
+        assert lg.verify_inclusion(root, leaf, bad) is False, (field, size)
+    for field in ("old_size", "new_size"):
+        bad = dataclasses.replace(extension, **{field: size})
+        assert lg.verify_extension(old_root, root, bad) is False, (field, size)
+    bad_hash = data.draw(st.sampled_from(BAD_HASHES))
+    for proof, verify in ((inclusion, lambda p: lg.verify_inclusion(root, leaf, p)),
+                          (extension, lambda p: lg.verify_extension(old_root, root, p))):
+        at = data.draw(st.integers(min_value=0, max_value=len(proof.hashes)))
+        hashes = proof.hashes[:at] + (bad_hash,) + proof.hashes[at + 1:]
+        assert verify(dataclasses.replace(proof, hashes=hashes)) is False, (at, bad_hash)
+        assert verify(dataclasses.replace(proof, hashes=None)) is False
+        assert verify(None) is False
+
+
 class _CountingJournal(list):
     """Root journal that counts the entries read from it."""
 
@@ -286,13 +328,15 @@ def test_hash_counts_are_logarithmic(monkeypatch):
         check, cost = hashes(lg.verify_receipt, rc, pk, led)
         assert check.consistent
         assert cost == 0, (rc.leaf_position, cost)  # read from the root journal
-    pairs = [(led.root_at(i), led.root_at(j))
+    cases = [(i, j, led.root_at(i), led.root_at(j))
              for i, j in ((0, n), (1, n), (2 ** 11 + 1, n), (n, n), (7, 2 ** 12))]
     led._roots = _CountingJournal(led._roots)
-    for old_root, new_root in pairs:
-        _, cost = hashes(lg.prove_extension, old_root, new_root, led)
+    for i, j, old_root, new_root in cases:
+        proof, cost = hashes(lg.prove_extension, led, i, j)
         assert cost <= log_n
-    assert led._roots.reads <= 2 * len(pairs)
+        valid, cost = hashes(lg.verify_extension, old_root, new_root, proof)
+        assert valid and cost <= 2 * len(proof.hashes) + 1
+    assert led._roots.reads == 0  # a proof is asked for by sizes
 
 
 class TestBinding:
@@ -346,6 +390,17 @@ class TestBinding:
         assert bundle.c_receipt_key == pk.public_bytes_raw()
         with pytest.raises(ValueError, match="c_receipt_key must be 32 bytes"):
             dataclasses.replace(bundle, c_receipt_key=bundle.c_receipt_key[:31])
+
+    @pytest.mark.parametrize("field,value", [
+        ("c_idx", [1]), ("c_idx", None), ("published_at", "x"), ("published_at", None),
+        ("published_at", True), ("published_at", -1), ("published_at", 0.0),
+    ])
+    def test_malformed_index_roots_or_time_rejected(self, field, value):
+        policy = PolicyParams.calibrated(1.0, 1e-6, 10, 10, 1e-3)
+        bundle = lg.commit_phase_a(policy, sha256(b"e"), [], b"\x00" * 32,
+                                   lg.generate_test_keypair()[1])
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(bundle, **{field: value})
 
 
 def ref_index_root(embeddings):
@@ -457,7 +512,7 @@ class TestReceipts:
         led, _ = self._ledger_with_receipts(20)
         for i in range(21):
             for j in range(i, 21):
-                proof = lg.prove_extension(led.root_at(i), led.root_at(j), led)
+                proof = lg.prove_extension(led, i, j)
                 assert lg.verify_extension(led.root_at(i), led.root_at(j), proof)
 
 
