@@ -2,7 +2,3 @@
 and a verifiable audit protocol."""
 
 __version__ = "0.1.0"
-
-from . import accounting, attacks, audit, encoding, estimator, harness, ledger  # noqa: F401
-from .accounting import PolicyParams  # noqa: F401
-from .audit import AuditVerdict, run_audit  # noqa: F401

@@ -4,7 +4,7 @@ Merkle tree in the transparency-log style (RFC 9162 section 2.1, the
 successor to RFC 6962): leaves are domain-separated with 0x00, interior
 nodes with 0x01, and an n-leaf root splits at the largest power of two
 below n. Inclusion and consistency (append-only extension) proofs are
-RFC 9162's, checked from the leaf position and tree sizes alone. Receipts
+RFC 9162's, checked from the leaf position and the caller's sizes. Receipts
 are Ed25519-signed over the canonical serialization of their fields,
 under the receipt key that the Phase A commitments hold. A receipt is an
 account's evidence against the provider: only one that contradicts the
@@ -350,14 +350,14 @@ def _sides(fn: int, sn: int) -> list:
     return sides
 
 
-def verify_inclusion(root: bytes, leaf_digest: bytes, proof: MerkleProof) -> bool:
+def verify_inclusion(root: bytes, size: int, leaf_digest: bytes, proof: MerkleProof) -> bool:
     """True iff leaf_digest is the leaf at proof.leaf_position of the
-    proof.tree_size-leaf tree with this root (RFC 9162 section 2.1.3.2):
-    the position and the size decide the side of each sibling. False,
-    never an exception, for a malformed proof."""
+    size-leaf tree with this root (RFC 9162 section 2.1.3.2): the position
+    and the size, held with the root as in a signed tree head, decide each
+    sibling's side. False, never an exception, for a malformed or wrong-size proof."""
     if not (isinstance(proof, MerkleProof)
             and _well_formed(proof.hashes, proof.leaf_position, proof.tree_size)
-            and proof.leaf_position < proof.tree_size):
+            and proof.tree_size == size and proof.leaf_position < proof.tree_size):
         return False
     sides = _sides(proof.leaf_position, proof.tree_size - 1)
     node = leaf_digest
@@ -366,12 +366,14 @@ def verify_inclusion(root: bytes, leaf_digest: bytes, proof: MerkleProof) -> boo
     return len(sides) == len(proof.hashes) and node == root
 
 
-def verify_extension(old_root: bytes, new_root: bytes, proof: ConsistencyProof) -> bool:
-    """True iff new_root, over proof.new_size leaves, extends old_root,
-    over the first proof.old_size of them (RFC 9162 section 2.1.4.2).
-    False, never an exception, for a malformed proof."""
+def verify_extension(old_root: bytes, old_size: int, new_root: bytes, new_size: int,
+                     proof: ConsistencyProof) -> bool:
+    """True iff new_root, over new_size leaves, extends old_root, over the
+    first old_size of them (RFC 9162 section 2.1.4.2). False, never an
+    exception, for a malformed or wrong-size proof."""
     if not (isinstance(proof, ConsistencyProof)
-            and _well_formed(proof.hashes, proof.old_size, proof.new_size)):
+            and _well_formed(proof.hashes, proof.old_size, proof.new_size)
+            and (proof.old_size, proof.new_size) == (old_size, new_size)):
         return False
     m, n, hashes = proof.old_size, proof.new_size, proof.hashes
     if m >= n:
@@ -533,34 +535,31 @@ def save_ledger(ledger: MerkleLedger, path) -> None:
             fh.write(ledger.root_at(i))
 
 
-def _read_field(buf: bytes, off: int) -> tuple[bytes, int]:
-    ln = int.from_bytes(buf[off:off + 4], "big")
-    return buf[off + 4:off + 4 + ln], off + 4 + ln
+def _fields(buf: bytes) -> list:
+    """The fields of a concatenation of 4-byte-length-prefixed fields."""
+    fields, off = [], 0
+    while off < len(buf):
+        ln = int.from_bytes(buf[off:off + 4], "big")
+        fields.append(buf[off + 4:off + 4 + ln])
+        off += 4 + ln
+    return fields
 
 
 def load_ledger(path) -> MerkleLedger:
     """Rebuild a ledger from ``save_ledger`` output. Raises ValueError
-    unless the root journal exists, holds one root per size 0..n, and
-    matches the roots recomputed from the records."""
+    unless every record has five fields, its digests 32 bytes and its
+    timestamp 8, and the root journal exists, holds one root per size
+    0..n, and matches the roots recomputed from the records."""
     ledger = MerkleLedger()
     with open(path, "rb") as fh:
         data = fh.read()
-    off = 0
-    while off < len(data):
-        blob_len = int.from_bytes(data[off:off + 4], "big")
-        blob = data[off + 4:off + 4 + blob_len]
-        off += 4 + blob_len
-        p = 0
-        account, p = _read_field(blob, p)
-        tenant, p = _read_field(blob, p)
-        qd, p = _read_field(blob, p)
-        td, p = _read_field(blob, p)
-        ts, p = _read_field(blob, p)
-        ledger.append(QueryRecord(
-            account_id=account.decode(), tenant_id=tenant.decode(),
-            query_digest=qd, topk_digest=td,
-            timestamp=int.from_bytes(ts, "big"),
-        ))
+    for blob in _fields(data):
+        fields = _fields(blob)
+        if [len(f) for f in fields[2:]] != [32, 32, 8]:
+            raise ValueError(f"record {len(ledger)}: field widths {[len(f) for f in fields]}")
+        account, tenant, qd, td, ts = fields
+        ledger.append(QueryRecord(account.decode(), tenant.decode(), qd, td,
+                                  int.from_bytes(ts, "big")))
     roots_path = str(path) + ".roots"
     if not os.path.exists(roots_path):
         raise ValueError(f"root journal {roots_path} is missing")

@@ -162,11 +162,11 @@ def test_criterion_10_ledger_and_adversarial_mutations():
                                   sha256(b"k%d" % i), i + 1))
     for pos in range(257):
         proof = lg.prove_inclusion(led, pos)
-        assert lg.verify_inclusion(led.root, led.leaf(pos), proof)
+        assert lg.verify_inclusion(led.root, len(led), led.leaf(pos), proof)
     for i in range(0, 258, 16):
         for j in range(i, 258):
             proof = lg.prove_extension(led, i, j)
-            assert lg.verify_extension(led.root_at(i), led.root_at(j), proof)
+            assert lg.verify_extension(led.root_at(i), i, led.root_at(j), j, proof)
 
     # six adversarial-provider mutations each FAIL on the right check
     def run_with(misbehavior, published_root=None):

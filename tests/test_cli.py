@@ -4,12 +4,18 @@ import json
 import math
 import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
 from collusion_audit import cli, estimator
+
+# verdict.json of audit_e2e under --profile smoke at the shipped seed
+SMOKE_VERDICT_SHA256 = "3564c6e945397dffe187850b1cb238f9a0fd40eb5022ae95fb448694bb02717e"
 
 
 def run_cli(args):
@@ -289,8 +295,7 @@ class TestReproducibility:
         assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
 
     @pytest.mark.parametrize("experiment,name,digest", [
-        ("audit_e2e", "verdict.json",
-         "3564c6e945397dffe187850b1cb238f9a0fd40eb5022ae95fb448694bb02717e"),
+        ("audit_e2e", "verdict.json", SMOKE_VERDICT_SHA256),
         ("scalar_sweep", "gates.json",
          "316286c2bc71cfcd34288b6a9d2658c65f636cd0f5e5296da415a252ebaf8cb7"),
     ])
@@ -298,6 +303,18 @@ class TestReproducibility:
         # at the shipped seed
         assert run_cli([experiment, "--out", str(tmp_path), "--profile", "smoke"]) == 0
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    def test_audit_runners_from_a_cold_interpreter(self, tmp_path):
+        # the audit runners import the verifier half themselves, which only a
+        # fresh interpreter runs from a cold start: in this process the test
+        # modules have imported audit already
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        for experiment in ("audit_e2e", "cost_table"):
+            subprocess.run([sys.executable, "-m", "collusion_audit.cli", experiment,
+                            "--out", str(tmp_path / experiment), "--profile", "smoke"],
+                           env=env, capture_output=True, timeout=120, check=True)
+        verdict = (tmp_path / "audit_e2e" / "verdict.json").read_bytes()
+        assert hashlib.sha256(verdict).hexdigest() == SMOKE_VERDICT_SHA256
 
     def test_smoke_verdict_adds_only_the_rejected_count(self, tmp_path):
         # the verdict.json pinned above, parsed: the verdict from before

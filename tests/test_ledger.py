@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from collusion_audit import ledger as lg
 from collusion_audit.accounting import PolicyParams
-from collusion_audit.encoding import sha256
+from collusion_audit.encoding import canonical, sha256
 from collusion_audit.harness import TenantIndex, embedding_digest, random_unit_vectors
 
 
@@ -103,7 +103,7 @@ class TestMerkleTree:
             led = build(n)
             for pos in range(n):
                 proof = lg.prove_inclusion(led, pos)
-                assert lg.verify_inclusion(led.root, led.leaf(pos), proof)
+                assert lg.verify_inclusion(led.root, n, led.leaf(pos), proof)
                 assert len(proof.hashes) <= int(np.ceil(np.log2(max(n, 2))))
 
     def test_tampered_sibling_fails(self):
@@ -112,7 +112,7 @@ class TestMerkleTree:
         bad_path = list(proof.hashes)
         h = bad_path[1]
         bad_path[1] = bytes([h[0] ^ 1]) + h[1:]
-        assert not lg.verify_inclusion(led.root, led.leaf(4),
+        assert not lg.verify_inclusion(led.root, 9, led.leaf(4),
                                        lg.MerkleProof(4, 9, tuple(bad_path)))
 
     def test_inclusion_fuzz_corruption(self):
@@ -129,7 +129,7 @@ class TestMerkleTree:
             mutated = list(proof.hashes)
             mutated[i] = (h[:byte] + bytes([h[byte] ^ (1 << int(rng.integers(0, 8)))])
                           + h[byte + 1:])
-            assert not lg.verify_inclusion(led.root, led.leaf(pos),
+            assert not lg.verify_inclusion(led.root, 57, led.leaf(pos),
                                            lg.MerkleProof(pos, 57, tuple(mutated)))
 
     def test_out_of_range_position(self):
@@ -144,20 +144,20 @@ class TestExtension:
     def test_identity_extension(self):
         led = build(10)
         proof = lg.prove_extension(led, 10, 10)
-        assert lg.verify_extension(led.root, led.root, proof)
+        assert lg.verify_extension(led.root, 10, led.root, 10, proof)
 
     def test_from_empty_exhaustive(self):
         for n in range(1, 65):
             led = build(n)
             proof = lg.prove_extension(led, 0, n)
-            assert lg.verify_extension(led.root_at(0), led.root, proof)
+            assert lg.verify_extension(led.root_at(0), 0, led.root, n, proof)
 
     def test_all_prefix_pairs_small(self):
         led = build(33)
         for i in range(34):
             for j in range(i, 34):
                 proof = lg.prove_extension(led, i, j)
-                assert lg.verify_extension(led.root_at(i), led.root_at(j), proof)
+                assert lg.verify_extension(led.root_at(i), i, led.root_at(j), j, proof)
 
     def test_deleted_middle_leaf_invalid(self):
         led = build(12)
@@ -172,7 +172,7 @@ class TestExtension:
             lg.prove_extension(forged, 8, 12)
         # a proof from the forged ledger cannot verify against the old root
         proof = lg.prove_extension(forged, 8, 11)
-        assert not lg.verify_extension(old_root, forged.root, proof)
+        assert not lg.verify_extension(old_root, 8, forged.root, 11, proof)
 
     def test_out_of_range_sizes_rejected(self):
         led = build(6)
@@ -254,27 +254,41 @@ def test_verifiers_bind_position_and_refuse_malformed_proofs(n, data):
     pos = data.draw(st.integers(min_value=0, max_value=j - 1))
     root, old_root, leaf = led.root_at(j), led.root_at(i), led.leaf(pos)
     inclusion, extension = lg.prove_inclusion(led, pos, j), lg.prove_extension(led, i, j)
-    assert lg.verify_inclusion(root, leaf, inclusion)
-    assert lg.verify_extension(old_root, root, extension)
+    assert lg.verify_inclusion(root, j, leaf, inclusion)
+    assert lg.verify_extension(old_root, i, root, j, extension)
     other = data.draw(st.integers(min_value=0, max_value=j - 1))
     if led.leaf(other) != leaf:
         relabelled = dataclasses.replace(inclusion, leaf_position=other)
-        assert lg.verify_inclusion(root, leaf, relabelled) is False
+        assert lg.verify_inclusion(root, j, leaf, relabelled) is False
     size = data.draw(st.sampled_from(BAD_SIZES))
     for field in ("leaf_position", "tree_size"):
         bad = dataclasses.replace(inclusion, **{field: size})
-        assert lg.verify_inclusion(root, leaf, bad) is False, (field, size)
+        assert lg.verify_inclusion(root, j, leaf, bad) is False, (field, size)
     for field in ("old_size", "new_size"):
         bad = dataclasses.replace(extension, **{field: size})
-        assert lg.verify_extension(old_root, root, bad) is False, (field, size)
+        assert lg.verify_extension(old_root, i, root, j, bad) is False, (field, size)
     bad_hash = data.draw(st.sampled_from(BAD_HASHES))
-    for proof, verify in ((inclusion, lambda p: lg.verify_inclusion(root, leaf, p)),
-                          (extension, lambda p: lg.verify_extension(old_root, root, p))):
+    for proof, verify in ((inclusion, lambda p: lg.verify_inclusion(root, j, leaf, p)),
+                          (extension, lambda p: lg.verify_extension(old_root, i, root, j, p))):
         at = data.draw(st.integers(min_value=0, max_value=len(proof.hashes)))
         hashes = proof.hashes[:at] + (bad_hash,) + proof.hashes[at + 1:]
         assert verify(dataclasses.replace(proof, hashes=hashes)) is False, (at, bad_hash)
         assert verify(dataclasses.replace(proof, hashes=None)) is False
         assert verify(None) is False
+
+
+def test_verifiers_take_the_size_from_the_caller():
+    # the hashes of a 3-leaf proof fold to root_at(3) under a claimed size
+    # of 4 too; the caller's size, held with the root, refuses them
+    led = build(4)
+    inclusion = lg.prove_inclusion(led, 0, 3)
+    assert lg.verify_inclusion(led.root_at(3), 3, led.leaf(0), inclusion)
+    assert not lg.verify_inclusion(led.root_at(3), 3, led.leaf(0),
+                                   lg.MerkleProof(0, 4, inclusion.hashes))
+    extension = lg.prove_extension(led, 1, 3)
+    assert lg.verify_extension(led.root_at(1), 1, led.root_at(3), 3, extension)
+    assert not lg.verify_extension(led.root_at(1), 1, led.root_at(3), 3,
+                                   lg.ConsistencyProof(1, 4, extension.hashes))
 
 
 class _CountingJournal(list):
@@ -334,7 +348,7 @@ def test_hash_counts_are_logarithmic(monkeypatch):
     for i, j, old_root, new_root in cases:
         proof, cost = hashes(lg.prove_extension, led, i, j)
         assert cost <= log_n
-        valid, cost = hashes(lg.verify_extension, old_root, new_root, proof)
+        valid, cost = hashes(lg.verify_extension, old_root, i, new_root, j, proof)
         assert valid and cost <= 2 * len(proof.hashes) + 1
     assert led._roots.reads == 0  # a proof is asked for by sizes
 
@@ -513,7 +527,7 @@ class TestReceipts:
         for i in range(21):
             for j in range(i, 21):
                 proof = lg.prove_extension(led, i, j)
-                assert lg.verify_extension(led.root_at(i), led.root_at(j), proof)
+                assert lg.verify_extension(led.root_at(i), i, led.root_at(j), j, proof)
 
 
 class TestPersistence:
@@ -550,6 +564,20 @@ class TestPersistence:
         with pytest.raises(ValueError, match=r"holds 192 bytes; 4 records need"):
             lg.load_ledger(path)
 
+    @pytest.mark.parametrize("qd, ts", [(sha256(b"q")[:31], (2).to_bytes(8, "big")),
+                                        (sha256(b"q"), b"\xff" * 9),
+                                        (sha256(b"q"), (2).to_bytes(7, "big"))])
+    def test_non_canonical_field_width_rejected(self, tmp_path, qd, ts):
+        # a 9-byte timestamp once reached the canonical encoding and raised
+        # OverflowError there
+        path = tmp_path / "ledger.bin"
+        lg.save_ledger(build(1), path)
+        blob = canonical("a", "t", qd, sha256(b"k"), ts)
+        with open(path, "ab") as fh:
+            fh.write(len(blob).to_bytes(4, "big") + blob)
+        with pytest.raises(ValueError, match=r"record 1: field widths \[1, 1, "):
+            lg.load_ledger(path)
+
     def test_resave_replaces_both_files(self, tmp_path):
         # a save creates each file anew: hard links to the first save's
         # files keep its bytes, and the path holds what a fresh save writes
@@ -575,4 +603,4 @@ def test_inclusion_holds_at_random_positions(n, data):
     led = build(n)
     pos = data.draw(st.integers(min_value=0, max_value=n - 1))
     proof = lg.prove_inclusion(led, pos)
-    assert lg.verify_inclusion(led.root, led.leaf(pos), proof)
+    assert lg.verify_inclusion(led.root, n, led.leaf(pos), proof)

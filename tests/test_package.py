@@ -44,7 +44,7 @@ def test_unused_import_check_sees_one():
 
 @pytest.mark.parametrize("name", MODULES)
 def test_no_unused_imports(name):
-    # MODULES leaves out __init__.py, whose imports are re-exports
+    # MODULES leaves out __init__.py, which imports nothing
     assert unused_imports((PACKAGE_DIR / f"{name}.py").read_text()) == []
 
 
@@ -120,13 +120,28 @@ def test_parameters_are_read(name):
     assert unread_parameters((PACKAGE_DIR / f"{name}.py").read_text()) == []
 
 
+def fresh_python(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter on this package."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs about 35 MB and 0.9 s to import; nothing in src/ needs it
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
     code = "import sys, collusion_audit.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+    assert fresh_python(code).strip() == "False"
+
+
+def test_cli_import_leaves_the_verifier_half_unloaded():
+    # the package binds no submodule, and the simulator experiments run
+    # without audit, ledger or cryptography; only the audit runners import audit
+    code = ("import sys, collusion_audit\n"
+            "print(sorted(m for m in sys.modules if m.startswith('collusion_audit.')))\n"
+            "import collusion_audit.cli\n"
+            "verifier = {'collusion_audit.audit', 'collusion_audit.ledger', 'cryptography'}\n"
+            "print(sorted(verifier & set(sys.modules)))\n")
+    assert fresh_python(code).splitlines() == ["[]", "[]"]
 
 
 def truncating_writes(source: str, exempt: str | None = None) -> list:
