@@ -65,18 +65,17 @@ class PolicyParams:
     top_k: int = 5
 
     def __post_init__(self):
-        if not 0.0 < self.eps_acc < math.inf:
+        if type(self.eps_acc) is bool or not 0.0 < self.eps_acc < math.inf:
             raise ValueError("eps_acc must be positive and finite")
         _check_delta("delta_acc", self.delta_acc)
         _check_delta("delta_policy", self.delta_policy)
-        if self.n_queries < 1:
-            raise ValueError("n_queries must be >= 1")
-        if not 0.0 < self.sigma < math.inf:
+        if type(self.sigma) is bool or not 0.0 < self.sigma < math.inf:
             raise ValueError("sigma must be positive and finite")
-        if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
-        if type(self.top_k) is not int or self.top_k < 1:
-            raise ValueError("top_k must be an integer >= 1")
+        # k_max = 10.0 == 10 would commit to another c_policy digest
+        for name in ("n_queries", "k_max", "top_k"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
         # epsilon_audit composes with this slack, so it must pass _check_delta
         if not self.delta_policy - self.k_max * self.delta_acc >= sys.float_info.min:
             raise ValueError(

@@ -112,10 +112,10 @@ def cell_seed(master_seed: int, k: int, eps_acc: float, mode: str, regime: str =
     return int.from_bytes(digest[:8], "big")
 
 
-def _bayes_llr(pooled_mean, m_draws: int, mu0: float, mu1: float, sigma: float):
-    """Exact Gaussian log-likelihood ratio of a pooled sample; a strictly
-    monotone transform of the pooled mean."""
-    return m_draws * (mu0 - mu1) * (pooled_mean - 0.5 * (mu0 + mu1)) / sigma**2
+def _bayes_llr(pooled_mean, m_draws: int, sigma: float):
+    """Exact Gaussian log-likelihood ratio of a pooled sample, mean 1
+    against mean 0; a strictly monotone transform of the pooled mean."""
+    return m_draws * (pooled_mean - 0.5) / sigma**2
 
 
 def _topk_hits(rng, config: CoalitionConfig, planted_score: float, bg_scores, sigma: float) -> int:
@@ -175,8 +175,8 @@ def _simulate_scalar_cell(rng, config, sigma: float, trials: int, mode: str):
             s_in[t] = rng.normal(1.0, sigma, m).mean()
             s_out[t] = rng.normal(0.0, sigma, m).mean()
     if config.adversary == "bayes_lr":
-        s_in = _bayes_llr(s_in, m, 1.0, 0.0, sigma)
-        s_out = _bayes_llr(s_out, m, 1.0, 0.0, sigma)
+        s_in = _bayes_llr(s_in, m, sigma)
+        s_out = _bayes_llr(s_out, m, sigma)
     return s_in, s_out
 
 

@@ -111,6 +111,8 @@ class VerificationPlan:
     def __post_init__(self):
         if self.mode not in ("full", "sampled"):
             raise ValueError("mode must be full or sampled")
+        if type(self.s) is not int:
+            raise ValueError("sample size s must be an integer")
         if self.mode == "sampled" and self.s < _sample_size(self.beta, self.eta):
             raise ValueError("sample size below the detection guarantee")
 
@@ -138,21 +140,20 @@ def sample_plan(beta: float, eta: float) -> VerificationPlan:
 
 
 class AuditService:
-    """Provider-side state for one audit window: policy, per-tenant
-    indices, the ledger, the receipt signing key, and the window witness
-    (committed seed, embedder digest, openings) every attested record
-    refers to."""
+    """Provider-side state for one audit window: policy, the ledger, the
+    receipt signing key, and the window witness (committed seed, embedder
+    digest, each tenant's embeddings as its openings) every attested
+    record refers to and every query is served from."""
 
     def __init__(self, policy, indices, window_seed: bytes,
                  signing_seed: bytes = b"\x01" * 32):
         self.policy = policy
-        self.indices = {ix.tenant_id: ix for ix in indices}
         self.signing_key, self.public_key = ledger_mod.generate_test_keypair(signing_seed)
         self.ledger = MerkleLedger()
         self.commitments = commit_phase_a(policy, _EMBEDDER_DIGEST, indices, window_seed,
                                           self.public_key)
         self.witness = WindowWitness(_EMBEDDER_DIGEST, window_seed, policy.sigma,
-                                     {t: ix.embeddings for t, ix in self.indices.items()})
+                                     {ix.tenant_id: ix.embeddings for ix in indices})
         self._clock = 0
 
     def next_timestamp(self) -> int:
@@ -170,7 +171,7 @@ def attest_query(service: AuditService, query: np.ndarray, account_id: str,
     noise = NoiseSeedRecord(service.witness.window_seed, core, service.policy.sigma)
     record = QueryRecord(
         account_id=account_id, tenant_id=tenant_id, query_digest=q_digest,
-        topk_digest=noise_then_select(service.indices[tenant_id].embeddings, tenant_id,
+        topk_digest=noise_then_select(service.witness.openings[tenant_id], tenant_id,
                                       query, service.policy.top_k, noise),
         timestamp=ts, attestation=AttestationBlob(
             service.witness, np.asarray(query, dtype=np.float64)),

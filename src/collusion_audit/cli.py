@@ -49,24 +49,11 @@ _COMMON_KEYS = {"experiment", "out", "seed", "profile"}
 _MIN_TRIALS = {"estimator_calibration": 1}
 
 
-def _is_count(value) -> bool:
-    return type(value) is int and value >= 1
-
-
-def _is_fraction_list(value) -> bool:
-    return (type(value) is list and len(value) > 0
-            and all(type(r) in (int, float) and 0.0 < r <= 1.0 for r in value))
-
-
 # config key -> (check, the rule it enforces), run on the config merged
 # with the flags; trials has its own rule
 _KEY_RULES = {
     "seed": (lambda value: type(value) is int and value >= 0, "an integer >= 0"),
     "out": (lambda value: type(value) is str and value != "", "a non-empty string"),
-    "n_queries": (_is_count, "an integer >= 1"),
-    "n_accounts": (_is_count, "an integer >= 1"),
-    "n_per_account": (_is_count, "an integer >= 1"),
-    "rho_values": (_is_fraction_list, "a non-empty list of numbers in (0, 1]"),
     "khat_curve": (lambda value: type(value) is bool, "true or false"),
 }
 
@@ -104,7 +91,7 @@ def load_config(path: str | None, overrides: dict) -> dict:
     for key, (check, rule) in _KEY_RULES.items():
         if key in config and not check(config[key]):
             raise ConfigError(f"{key} must be {rule}, got {config[key]!r}")
-    config.setdefault("seed", defaults.EXPERIMENT_SEEDS.get(exp, 0))
+    config.setdefault("seed", defaults.EXPERIMENT_SEEDS[exp])
     config.setdefault("profile", "paper")
     config.setdefault("out", "out")
     if config["profile"] not in ("paper", "smoke"):
@@ -156,8 +143,7 @@ _SWEEP_HEADER = ["k", "eps_acc", "mode", "adversary", "auc", "delong_se",
 
 def _run_scalar_sweep(config: dict, out_dir: str) -> tuple[list, int]:
     trials = config.get("trials", 100 if config["profile"] == "smoke" else defaults.SCALAR_TRIALS)
-    n = config.get("n_per_account", defaults.SCALAR_N)
-    cfg = CoalitionConfig(k=1, n_per_account=n, adversary="pooled_mean")
+    cfg = CoalitionConfig(k=1, n_per_account=defaults.SCALAR_N, adversary="pooled_mean")
     res = attacks.run_sweep(SCALAR_GRID, cfg, trials, "sufficient_stat", config["seed"])
     path = os.path.join(out_dir, "scalar_sweep.csv")
     _write_csv(path, _SWEEP_HEADER, _sweep_rows(res))
@@ -170,8 +156,7 @@ def _run_scalar_sweep(config: dict, out_dir: str) -> tuple[list, int]:
 
 def _run_topk_sweep(config: dict, out_dir: str) -> tuple[list, int]:
     trials = config.get("trials", 50 if config["profile"] == "smoke" else defaults.TOPK_TRIALS)
-    n = config.get("n_per_account", defaults.TOPK_N)
-    cfg = CoalitionConfig(k=1, n_per_account=n, adversary="topk_hit")
+    cfg = CoalitionConfig(k=1, n_per_account=defaults.TOPK_N, adversary="topk_hit")
     grid = TOPK_GRID if config["profile"] == "paper" else [(1, 16.0), (20, 16.0)]
     res = attacks.run_sweep(grid, cfg, trials, "sufficient_stat", config["seed"])
     path = os.path.join(out_dir, "topk_sweep.csv")
@@ -200,9 +185,8 @@ def _run_estimator_calibration(config: dict, out_dir: str) -> tuple[list, int]:
 
 def _run_external_vs_same(config: dict, out_dir: str) -> tuple[list, int]:
     trials = config.get("trials", 50 if config["profile"] == "smoke" else defaults.TOPK_TRIALS)
-    n = config.get("n_per_account", defaults.TOPK_N)
     grid = TOPK_GRID if config["profile"] == "paper" else [(1, 16.0), (20, 16.0)]
-    cfg = CoalitionConfig(k=1, n_per_account=n, adversary="topk_hit")
+    cfg = CoalitionConfig(k=1, n_per_account=defaults.TOPK_N, adversary="topk_hit")
     rows = attacks.external_vs_same(grid, trials, config["seed"], cfg)
     path = os.path.join(out_dir, "external_vs_same.csv")
     _write_csv(path, ["k", "eps_acc", "auc_same", "se_same", "auc_external",
@@ -219,7 +203,7 @@ def _run_alt_adversaries(config: dict, out_dir: str) -> tuple[list, int]:
         cfg = CoalitionConfig(k=1, n_per_account=defaults.SCALAR_N, adversary=adversary)
         res = attacks.run_sweep(SCALAR_GRID, cfg, trials, "sufficient_stat", config["seed"])
         rows.extend(_sweep_rows(res))
-    for rho in config.get("rho_values", [0.5, 0.25]):
+    for rho in (0.5, 0.25):
         cfg = CoalitionConfig(k=1, n_per_account=defaults.SCALAR_N,
                               adversary="diversified", rho=rho)
         res = attacks.run_sweep([(20, 4.0)], cfg, trials, "sufficient_stat", config["seed"])
@@ -263,8 +247,7 @@ def _run_cost_table(_config: dict, out_dir: str) -> tuple[list, int]:
 def _run_audit_e2e(config: dict, out_dir: str) -> tuple[list, int]:
     from . import audit
     rng = np.random.default_rng(config["seed"])
-    n_accounts = config.get("n_accounts", 3)
-    n_queries = config.get("n_queries", 5)
+    n_accounts, n_queries = 3, 5
     policy = accounting.PolicyParams.calibrated(
         eps_acc=1.0, delta_acc=defaults.DELTA_ACC, n_queries=n_queries,
         k_max=10, delta_policy=1e-5, window_id="W-e2e",
@@ -296,14 +279,14 @@ def _run_audit_e2e(config: dict, out_dir: str) -> tuple[list, int]:
 # experiment name -> (runner, config keys it takes beyond the common ones);
 # a runner returns (paths written, exit code)
 EXPERIMENTS = {
-    "scalar_sweep": (_run_scalar_sweep, {"trials", "n_per_account"}),
-    "topk_sweep": (_run_topk_sweep, {"trials", "n_per_account"}),
+    "scalar_sweep": (_run_scalar_sweep, {"trials"}),
+    "topk_sweep": (_run_topk_sweep, {"trials"}),
     "estimator_calibration": (_run_estimator_calibration, {"trials", "khat_curve"}),
-    "external_vs_same": (_run_external_vs_same, {"trials", "n_per_account"}),
-    "alt_adversaries": (_run_alt_adversaries, {"trials", "rho_values"}),
+    "external_vs_same": (_run_external_vs_same, {"trials"}),
+    "alt_adversaries": (_run_alt_adversaries, {"trials"}),
     "epsilon_table": (_run_epsilon_table, set()),
     "cost_table": (_run_cost_table, set()),
-    "audit_e2e": (_run_audit_e2e, {"n_accounts", "n_queries"}),
+    "audit_e2e": (_run_audit_e2e, set()),
 }
 
 

@@ -11,8 +11,9 @@ EXPERIMENT_SEEDS = {
     "estimator_calibration": 2,
     "external_vs_same": 4,
     "alt_adversaries": 2,
+    "epsilon_table": 0,
+    "cost_table": 0,
     "audit_e2e": 1,
-    "mode_equivalence": 1,
 }
 
 DELTA_ACC = 1e-6

@@ -93,17 +93,16 @@ class CalibrationReport:
     khat_exact_rate: dict = field(default_factory=dict)  # fraction of trials k_hat == k_true
 
 
-def _gram_blocks(Q: np.ndarray, mask=None):
+def _gram_blocks(Q: np.ndarray):
     """The strict upper triangle of ``Q @ Q.T``, one block of rows at a time.
 
     Yields ``(lo, G)``: ``G[r, c] = Q[lo + r] . Q[lo + c]`` for up to
     _BLOCK_ROWS rows from ``lo`` and every column from ``lo``, set to -inf
-    where ``c <= r``; ``mask(lo, G)``, if given, sets to -inf the pairs it
-    rules out. Memory is one block, _BLOCK_ROWS * n cosines: the n x n
-    product is never formed, and each block is written over the previous
-    one, so a caller must be done with a block before it asks for the
-    next. Each product keeps its own (rows, n - lo) shape, on which BLAS
-    rounding depends.
+    where ``c <= r``. Memory is one block, _BLOCK_ROWS * n cosines: the
+    n x n product is never formed, and each block is written over the
+    previous one, so a caller must be done with a block before it asks for
+    the next. Each product keeps its own (rows, n - lo) shape, on which
+    BLAS rounding depends.
     """
     n = len(Q)
     below = np.tri(_BLOCK_ROWS, dtype=bool)
@@ -113,8 +112,6 @@ def _gram_blocks(Q: np.ndarray, mask=None):
         m = len(rows)
         G = np.matmul(rows, Q[lo:].T, out=store[:m * (n - lo)].reshape(m, n - lo))
         np.copyto(G[:, :m], -np.inf, where=below[:m, :m])
-        if mask is not None:
-            mask(lo, G)
         yield lo, G
 
 
@@ -234,23 +231,20 @@ def estimate(queries, params: EstimatorParams) -> CoalitionEstimate:
 
 # --- calibration ----------------------------------------------------------
 
-def _same_account(n_per_account: int):
-    """``mask`` for a pool of queries laid out in contiguous per-account
-    blocks of n_per_account: rules out the pairs within one account."""
-    def mask(lo, G):
+def _max_cross_account_cos(Q: np.ndarray, n_per_account: int) -> float:
+    """Max cosine over pairs of queries from distinct accounts (-inf when
+    there is no such pair); the queries are laid out in contiguous
+    per-account blocks of n_per_account."""
+    best = -np.inf
+    for lo, G in _gram_blocks(Q):
         hi = lo + len(G)
         for start in range(lo - lo % n_per_account, hi, n_per_account):
             end = start + n_per_account
             # the account's rows, up to its last column (the columns
             # before its first query are below the diagonal already)
             G[max(start, lo) - lo:min(end, hi) - lo, :end - lo] = -np.inf
-    return mask
-
-
-def _max_cross_account_cos(Q: np.ndarray, n_per_account: int) -> float:
-    """Max cosine over pairs of queries from distinct accounts (-inf when
-    there is no such pair)."""
-    return max(float(G.max()) for _, G in _gram_blocks(Q, _same_account(n_per_account)))
+        best = max(best, float(G.max()))
+    return best
 
 
 def _reaches(X: np.ndarray, Y: np.ndarray, theta: float) -> bool:
@@ -322,6 +316,14 @@ def _colluders_connected(Q_col: np.ndarray, choices, pattern: str, k: int, n: in
     if c0 >= 0.0 and math.cos(2.0 * math.acos(min(1.0, c0))) >= theta:
         return True
     return _components(*_component_edges(Q_col, theta), k * n)[0] == 1
+
+
+def _generic_khat(Q_col, nulls, n: int, theta: float) -> int:
+    """The generic estimator's coalition size on colluder queries Q_col and
+    null queries ``nulls``, each laid out in per-account blocks of n."""
+    queries = ([(f"c{i // n}", Q_col[i], i) for i in range(len(Q_col))]
+               + [(f"u{i // n}", nulls[i], i) for i in range(len(nulls))])
+    return estimate(queries, EstimatorParams(theta=theta)).largest_cluster_accounts
 
 
 def calibrate(
@@ -396,13 +398,8 @@ def calibrate(
                     k_hat = max(k, spurious)
                 else:
                     # rare slow path: fall back to the generic estimator
-                    queries = (
-                        [(f"c{i // n}", Q_col[i], i) for i in range(len(Q_col))]
-                        + [(f"u{i // n}", nulls[i].astype(np.float64)
-                            / np.linalg.norm(nulls[i]), i) for i in range(len(nulls))]
-                    )
-                    k_hat = estimate(queries, EstimatorParams(
-                        theta=operating)).largest_cluster_accounts
+                    k_hat = _generic_khat(Q_col, [row.astype(np.float64) / np.linalg.norm(row)
+                                                  for row in nulls], n, operating)
                 khat_sum[(pattern, k)] += k_hat
                 detect_count[(pattern, k)] += k_hat >= 2
                 exact_count[(pattern, k)] += k_hat == k
@@ -422,11 +419,6 @@ def calibrate(
                             curve_rng, pattern, k, n, d, _JITTER, _INTENT_SET
                         )
                         nulls = random_unit_vectors(curve_rng, (A - k) * n, d)
-                        queries = (
-                            [(f"c{i // n}", Q_col[i], i) for i in range(len(Q_col))]
-                            + [(f"u{i // n}", nulls[i], i) for i in range(len(nulls))]
-                        )
-                        tot += estimate(queries, EstimatorParams(
-                            theta=float(th))).largest_cluster_accounts
+                        tot += _generic_khat(Q_col, nulls, n, float(th))
                     report.khat_by_pattern[(pattern, k, float(th))] = tot / khat_curve_trials
     return report

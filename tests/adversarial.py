@@ -56,7 +56,7 @@ def attest_query(service, query, account_id, tenant_id, misbehavior=None):
     record = QueryRecord(
         account_id=account_id, tenant_id=tenant_id, query_digest=q_digest,
         topk_digest=audit.noise_then_select(
-            service.indices[tenant_id].embeddings, tenant_id, query,
+            service.witness.openings[tenant_id], tenant_id, query,
             service.policy.top_k, NoiseSeedRecord(service.witness.window_seed, core, served)),
         timestamp=ts, attestation=audit.AttestationBlob(
             window, np.asarray(query, dtype=np.float64)),

@@ -22,6 +22,8 @@ from collusion_audit.harness import TenantIndex, random_unit_vectors
 from collusion_audit import ledger as lg
 
 SEEDS = defaults.EXPERIMENT_SEEDS
+# master seed of the full_sim vs sufficient_stat equivalence runs
+MODE_EQUIVALENCE_SEED = 1
 
 
 @pytest.fixture(scope="module")
@@ -216,9 +218,9 @@ def test_criterion_11_zk_cost_model():
 
 def test_criterion_12_mode_equivalence():
     cfg = CoalitionConfig(k=5, n_per_account=100)
-    full = attacks.run_sweep([(5, 4.0)], cfg, 2000, "full_sim", SEEDS["mode_equivalence"])
+    full = attacks.run_sweep([(5, 4.0)], cfg, 2000, "full_sim", MODE_EQUIVALENCE_SEED)
     suff = attacks.run_sweep([(5, 4.0)], cfg, 2000,
-                             "sufficient_stat", SEEDS["mode_equivalence"] + 1)
+                             "sufficient_stat", MODE_EQUIVALENCE_SEED + 1)
     cell = (5, 4.0)
     comb = math.sqrt(full.delong_se[cell] ** 2 + suff.delong_se[cell] ** 2)
     assert abs(full.auc[cell] - suff.auc[cell]) <= 2 * comb
@@ -229,9 +231,9 @@ def test_criterion_12_mode_equivalence():
 def test_criterion_13_topk_mode_equivalence():
     cfg = CoalitionConfig(k=1, n_per_account=200, adversary="topk_hit")
     cell = (5, 16.0)
-    full = attacks.run_sweep([cell], cfg, 2000, "full_sim", SEEDS["mode_equivalence"])
+    full = attacks.run_sweep([cell], cfg, 2000, "full_sim", MODE_EQUIVALENCE_SEED)
     exact = attacks.run_sweep([cell], cfg, 2000,
-                              "sufficient_stat", SEEDS["mode_equivalence"] + 1)
+                              "sufficient_stat", MODE_EQUIVALENCE_SEED + 1)
     comb = math.sqrt(full.delong_se[cell] ** 2 + exact.delong_se[cell] ** 2)
     assert abs(full.auc[cell] - exact.auc[cell]) <= 2 * comb
     for arm in (0, 1):  # in-arm and out-arm hit counts

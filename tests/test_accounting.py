@@ -85,6 +85,18 @@ class TestPolicyParams:
             with pytest.raises(ValueError):
                 acc.PolicyParams(**base)
 
+    # a float count equal to an int would commit to another c_policy digest,
+    # and a bool makes policy_commitment raise where the policy should be refused
+    @pytest.mark.parametrize("field,value", [
+        ("k_max", 2.5), ("k_max", 10.0), ("k_max", True), ("n_queries", 2.5),
+        ("n_queries", True), ("eps_acc", True), ("sigma", True),
+    ])
+    def test_non_int_count_or_bool_rejected(self, field, value):
+        base = dict(eps_acc=1, delta_acc=1e-6, n_queries=10, sigma=1.0,
+                    k_max=10, delta_policy=1e-3)
+        with pytest.raises(ValueError, match=field):
+            acc.PolicyParams(**{**base, field: value})
+
     # ln(1/delta) is inf for a subnormal delta, so the bounds would read 0 or inf
     def test_subnormal_delta_acc_rejected(self):
         with pytest.raises(ValueError, match="delta_acc"):

@@ -12,6 +12,9 @@ from scipy.stats import ks_2samp, norm, rankdata
 from collusion_audit import accounting, attacks, defaults
 from collusion_audit.attacks import CoalitionConfig, SweepResult
 
+# master seed of the full_sim vs sufficient_stat equivalence runs
+MODE_EQUIVALENCE_SEED = 1
+
 
 def calibrated_policy(eps, n):
     return accounting.PolicyParams.calibrated(
@@ -179,10 +182,10 @@ class TestRunSweep:
     def test_mode_equivalence_small_cell(self):
         cfg = CoalitionConfig(k=5, n_per_account=100)
         full = attacks.run_sweep([(5, 4.0)], cfg, 2000,
-                                 "full_sim", defaults.EXPERIMENT_SEEDS["mode_equivalence"])
+                                 "full_sim", MODE_EQUIVALENCE_SEED)
         suff = attacks.run_sweep([(5, 4.0)], cfg, 2000,
                                  "sufficient_stat",
-                                 defaults.EXPERIMENT_SEEDS["mode_equivalence"] + 1)
+                                 MODE_EQUIVALENCE_SEED + 1)
         key = (5, 4.0)
         comb = math.sqrt(full.delong_se[key] ** 2 + suff.delong_se[key] ** 2)
         assert abs(full.auc[key] - suff.auc[key]) <= 2 * comb

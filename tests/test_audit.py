@@ -105,7 +105,7 @@ def topk_digest(service, rec, K, sigma):
     core = record_core_digest(rec.account_id, rec.tenant_id, rec.query_digest,
                               rec.timestamp)
     return audit.noise_then_select(
-        service.indices[rec.tenant_id].embeddings, rec.tenant_id, rec.attestation.query_vector,
+        service.witness.openings[rec.tenant_id], rec.tenant_id, rec.attestation.query_vector,
         K, NoiseSeedRecord(service.witness.window_seed, core, sigma))
 
 
@@ -129,6 +129,11 @@ class TestSamplePlan:
     def test_undersized_plan_rejected(self):
         with pytest.raises(ValueError):
             VerificationPlan(mode="sampled", s=100, beta=0.01, eta=2.0 ** -20)
+
+    def test_fractional_sample_size_rejected(self):
+        # large enough for the guarantee, but rng.choice takes no 20.5
+        with pytest.raises(ValueError, match="integer"):
+            VerificationPlan(mode="sampled", s=20.5, beta=0.5, eta=0.01)
 
     def test_detection_guarantee_simulation(self):
         # abstract index sampling: a beta-fraction of a large window is
@@ -161,6 +166,13 @@ class TestHonestAudit:
         # the full bound carries the residual composition term on top of
         # the leading sqrt(k_max) headline
         assert verdict.eps_audit_full >= verdict.eps_audit_headline
+
+    def test_one_account_one_query_window_passes(self):
+        service = make_service(policy=make_policy(n=1))
+        receipts = serve_window(service, n_accounts=1, queries_per_account=1)
+        verdict = run_audit(service.ledger, service.commitments, service.policy,
+                            receipts, EST_PARAMS, FULL)
+        assert verdict.status == "PASS"
 
     def test_verdict_deterministic(self):
         service = make_service()
@@ -867,7 +879,7 @@ class TestFilteredTopK:
         over every document, stable-sorted: the unfiltered relation."""
         core = record_core_digest(rec.account_id, rec.tenant_id, rec.query_digest,
                                   rec.timestamp)
-        embeddings = service.indices[rec.tenant_id].embeddings
+        embeddings = service.witness.openings[rec.tenant_id]
         noise = derive_noise_block(service.witness.window_seed, core, len(embeddings),
                                    service.policy.sigma)
         noisy = embeddings @ rec.attestation.query_vector + noise
